@@ -80,9 +80,9 @@ from .security import (
     trace_norm_bound,
 )
 from .transport import (
+    BobStrategy,
     ChannelModel,
     HelstromBob,
-    HonestBob,
     SessionTranscript,
     WireMessage,
     decode_line,

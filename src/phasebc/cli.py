@@ -15,8 +15,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import security, transport
 from . import protocol as proto
 from .codestates import CodeParams
@@ -26,25 +24,12 @@ from .phasespace import GridSpec, wigner_sigma
 DEFAULT_SEED = 20260809  # documented default; override with --seed
 
 
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_format_value(x) for x in v) + "]"
-    if isinstance(v, dict):
-        return "{" + ", ".join(f"{k}={_format_value(x)}" for k, x in v.items()) + "}"
-    if v is None:
-        return "null"
-    return str(v)
-
-
 def render_document(doc: dict, fmt: str) -> str:
     """One report document as aligned text or a single JSON object."""
     if fmt == "text":
         width = max(len(k) for k in doc)
-        return "\n".join(f"{k.ljust(width)}  {_format_value(v)}" for k, v in doc.items()) + "\n"
+        return "".join(f"{k.ljust(width)}  {transport.format_document(v)}\n"
+                       for k, v in doc.items())
     return transport.format_document(doc) + "\n"
 
 
@@ -129,7 +114,7 @@ def cmd_simulate(args) -> int:
     if args.listen or args.connect:
         if args.listen:
             transcript = transport.serve_single_session(
-                "127.0.0.1", int(args.listen), transport.HonestBob(), params,
+                "127.0.0.1", int(args.listen), transport.BobStrategy(), params,
                 channel, seed=args.seed)
         else:
             host, port = args.connect.rsplit(":", 1)

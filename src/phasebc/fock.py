@@ -90,9 +90,6 @@ class FockOperator:
     def dim(self) -> int:
         return self.cutoff + 1
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return float(np.abs(self.matrix - self.matrix.conj().T).max()) <= tol
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 

@@ -108,13 +108,6 @@ def build_U(params: CodeParams) -> FockOperator:
     return FockOperator(params.cutoff, U * rotation[None, :])
 
 
-def half_step_rotation(params: CodeParams) -> FockOperator:
-    """Diagonal number-phase rotation exp(i pi n / M)."""
-    d = params.cutoff + 1
-    return FockOperator(params.cutoff,
-                        np.diag(np.exp(1j * math.pi * np.arange(d) / params.M)))
-
-
 def build_povm(params: CodeParams) -> tuple[tuple[FockOperator, ...], tuple[FockOperator, ...]]:
     """Both measurement families, each M rank-1 projectors plus a remainder.
 

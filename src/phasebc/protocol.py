@@ -155,7 +155,7 @@ def bob_verify(payload: QuantumPayload, revealed: tuple[int, tuple[int, ...]],
         )
     try:
         targets = expected_amplitudes(revealed_b, revealed_m, params)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: phase beyond int64
         raise ProtocolAbort(f"malformed reveal: {exc}") from exc
     counts = payload.count_after_displacement(-targets, rng)
     return Verdict(bool(np.all(counts == 0)), tuple(int(c) for c in counts))

@@ -20,6 +20,7 @@ import json
 import math
 import socket
 import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,34 +69,30 @@ class ChannelModel:
             raise ValueError(f"transmittivity must lie in (0,1], got {self.tau}")
 
 
-def _format_value(obj) -> str:
-    if obj is None:
+def format_document(doc) -> str:
+    """One structure as a single JSON text, floats at 17 significant digits."""
+    if doc is None:
         return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
+    if isinstance(doc, bool):
+        return "true" if doc else "false"
+    if isinstance(doc, (int, np.integer)):
+        return str(int(doc))
+    if isinstance(doc, (float, np.floating)):
+        x = float(doc)
         if not math.isfinite(x):
             raise ValueError("non-finite float in message")
         if x == 0.0:
             # format() drops the sign of -0.0 and json reads bare 0 as int
             return "-0.0" if math.copysign(1.0, x) < 0 else "0.0"
         return format(x, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_format_value(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}:{_format_value(v)}" for k, v in obj.items())
+    if isinstance(doc, str):
+        return json.dumps(doc)
+    if isinstance(doc, (list, tuple)):
+        return "[" + ",".join(format_document(v) for v in doc) + "]"
+    if isinstance(doc, dict):
+        items = (f"{json.dumps(str(k))}:{format_document(v)}" for k, v in doc.items())
         return "{" + ",".join(items) + "}"
-    raise TypeError(f"cannot encode {type(obj).__name__}")
-
-
-def format_document(doc) -> str:
-    """One structure as a single JSON text, floats at 17 significant digits."""
-    return _format_value(doc)
+    raise TypeError(f"cannot encode {type(doc).__name__}")
 
 
 def encode(message: WireMessage) -> bytes:
@@ -104,10 +101,19 @@ def encode(message: WireMessage) -> bytes:
     return (format_document(doc) + "\n").encode("utf-8")
 
 
+def _finite_float(text: str) -> float:
+    # also sees NaN and +-Infinity, and literals beyond the double range (1e400)
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {text}")
+    return x
+
+
 def decode_line(line: bytes, offset: int = 0) -> WireMessage:
     try:
-        doc = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        doc = json.loads(line.decode("utf-8"), parse_float=_finite_float,
+                         parse_constant=_finite_float)
+    except ValueError as exc:  # covers UnicodeDecodeError and JSONDecodeError
         raise DecodeError(f"malformed message line: {exc}", offset) from exc
     if not isinstance(doc, dict):
         raise DecodeError("message is not an object", offset)
@@ -182,10 +188,6 @@ class BobStrategy:
         return proto.bob_verify(payload, revealed, params, rng)
 
 
-class HonestBob(BobStrategy):
-    pass
-
-
 class HelstromBob(BobStrategy):
     """Adversarial receiver guessing the bit from the commitment alone.
 
@@ -213,20 +215,30 @@ class HelstromBob(BobStrategy):
         self.guesses.append(0 if rng.random() < p_zero else 1)
 
 
-class AliceSession:
-    """Sender state machine; drives the session."""
+# Python and NumPy integer types, matched exactly so that bool is not one
+_INT_TYPES = frozenset({int} | {t for t in np.sctypeDict.values()
+                                if issubclass(t, np.integer) and t is not np.timedelta64})
 
-    def __init__(self, strategy: proto.AliceStrategy, params: proto.ProtocolParams,
+
+def _is_int_list(value) -> bool:
+    return type(value) is list and set(map(type, value)) <= _INT_TYPES
+
+
+class _Endpoint:
+    """State shared by both endpoint state machines."""
+
+    initial_state = ""
+
+    def __init__(self, strategy, params: proto.ProtocolParams,
                  channel: ChannelModel, rng: np.random.Generator, session_id: str):
         self.strategy = strategy
         self.params = params
         self.channel = channel
         self.rng = rng
         self.session_id = session_id
-        self.state = "init"
+        self.state = self.initial_state
         self.verdict: proto.Verdict | None = None
         self.abort_reason = ""
-        self.commitment: proto.Commitment | None = None
 
     def _msg(self, kind: str, body: dict) -> WireMessage:
         return WireMessage(kind, self.session_id, body)
@@ -241,12 +253,11 @@ class AliceSession:
         return self.state in ("done", "aborted")
 
     def start(self) -> list[WireMessage]:
-        if self.state != "init":
-            raise ProtocolStateError("session already started")
-        self.state = "wait_hello"
-        return [self._msg("HELLO", _params_body(self.params, "alice"))]
+        """Messages this endpoint sends before it has received any."""
+        return []
 
-    def handle(self, message: WireMessage) -> list[WireMessage]:
+    def _prologue(self, message: WireMessage) -> list[WireMessage] | None:
+        """Replies for a message that ends the session whatever the state, else None."""
         if self.done:
             raise ProtocolStateError("session is terminal")
         if message.session_id != self.session_id:
@@ -255,6 +266,25 @@ class AliceSession:
             self.state = "aborted"
             self.abort_reason = str(message.body.get("reason", ""))
             return []
+        return None
+
+
+class AliceSession(_Endpoint):
+    """Sender state machine; drives the session."""
+
+    initial_state = "init"
+    commitment: proto.Commitment | None = None
+
+    def start(self) -> list[WireMessage]:
+        if self.state != "init":
+            raise ProtocolStateError("session already started")
+        self.state = "wait_hello"
+        return [self._msg("HELLO", _params_body(self.params, "alice"))]
+
+    def handle(self, message: WireMessage) -> list[WireMessage]:
+        replies = self._prologue(message)
+        if replies is not None:
+            return replies
         if self.state == "wait_hello":
             if message.kind != "HELLO":
                 return self._abort(f"expected HELLO, got {message.kind}")
@@ -275,52 +305,29 @@ class AliceSession:
         if self.state == "wait_verdict":
             if message.kind != "VERDICT":
                 return self._abort(f"expected VERDICT, got {message.kind}")
+            accepted = message.body.get("accepted")
+            counts = message.body.get("counts")
+            if not (isinstance(accepted, bool) and _is_int_list(counts)):
+                return self._abort("malformed VERDICT body")
             try:
-                self.verdict = proto.Verdict(bool(message.body["accepted"]),
-                                             tuple(message.body["counts"]))
-            except (KeyError, TypeError, ValueError):
+                self.verdict = proto.Verdict(accepted, tuple(counts))
+            except ValueError:
                 return self._abort("malformed VERDICT body")
             self.state = "done"
             return []
         raise ProtocolStateError(f"unhandled state {self.state}")
 
 
-class BobSession:
+class BobSession(_Endpoint):
     """Receiver state machine; responds to the sender's messages."""
 
-    def __init__(self, strategy: BobStrategy, params: proto.ProtocolParams,
-                 channel: ChannelModel, rng: np.random.Generator, session_id: str):
-        self.strategy = strategy
-        self.params = params
-        self.channel = channel
-        self.rng = rng
-        self.session_id = session_id
-        self.state = "wait_hello"
-        self.verdict: proto.Verdict | None = None
-        self.abort_reason = ""
-        self._payload: proto.QuantumPayload | None = None
-
-    def _msg(self, kind: str, body: dict) -> WireMessage:
-        return WireMessage(kind, self.session_id, body)
-
-    def _abort(self, reason: str) -> list[WireMessage]:
-        self.state = "aborted"
-        self.abort_reason = reason
-        return [self._msg("ABORT", {"reason": reason})]
-
-    @property
-    def done(self) -> bool:
-        return self.state in ("done", "aborted")
+    initial_state = "wait_hello"
+    _payload: proto.QuantumPayload | None = None
 
     def handle(self, message: WireMessage) -> list[WireMessage]:
-        if self.done:
-            raise ProtocolStateError("session is terminal")
-        if message.session_id != self.session_id:
-            return self._abort("session id mismatch")
-        if message.kind == "ABORT":
-            self.state = "aborted"
-            self.abort_reason = str(message.body.get("reason", ""))
-            return []
+        replies = self._prologue(message)
+        if replies is not None:
+            return replies
         if message.kind != {"wait_hello": "HELLO", "wait_commit": "COMMIT",
                             "wait_open": "OPEN"}[self.state]:
             return self._abort(
@@ -335,7 +342,9 @@ class BobSession:
             try:
                 pairs = message.body["amplitudes"]
                 amps = np.array([complex(re, im) for re, im in pairs])
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
+                return self._abort("malformed COMMIT body")
+            if not np.isfinite(amps).all():
                 return self._abort("malformed COMMIT body")
             if amps.size != self.params.k:
                 return self._abort("payload length mismatch")
@@ -346,12 +355,12 @@ class BobSession:
                 self.strategy.observe_commit(self._payload, self.params, self.rng)
             self.state = "wait_open"
             return []
-        try:
-            revealed = (int(message.body["bit"]), tuple(message.body["phases"]))
-        except (KeyError, TypeError, ValueError):
+        bit = message.body.get("bit")
+        phases = message.body.get("phases")
+        if not (type(bit) in _INT_TYPES and _is_int_list(phases)):
             return self._abort("malformed OPEN body")
         try:
-            self.verdict = self.strategy.verify(self._payload, revealed,
+            self.verdict = self.strategy.verify(self._payload, (bit, tuple(phases)),
                                                 self.params, self.rng)
         except proto.ProtocolAbort as exc:
             return self._abort(str(exc))
@@ -362,17 +371,28 @@ class BobSession:
         })]
 
 
-def _spawn_rngs(seed) -> tuple[np.random.Generator, np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(children[0]), np.random.default_rng(children[1])
+def _endpoints(alice_strategy: proto.AliceStrategy | None,
+               bob_strategy: BobStrategy | None, params: proto.ProtocolParams,
+               channel: ChannelModel | None, seed, session_id: str,
+               bob_params: proto.ProtocolParams | None = None
+               ) -> tuple[AliceSession, BobSession]:
+    """Both endpoints of one session, each with its half of the split seed."""
+    channel = channel or ChannelModel(tau=params.tau)
+    alice_seed, bob_seed = np.random.SeedSequence(seed).spawn(2)
+    return (AliceSession(alice_strategy, params, channel,
+                         np.random.default_rng(alice_seed), session_id),
+            BobSession(bob_strategy, bob_params or params, channel,
+                       np.random.default_rng(bob_seed), session_id))
 
 
-def _finish(alice: AliceSession, bob: BobSession, log: list[WireMessage],
-            session_id: str) -> SessionTranscript:
-    aborted = alice.state == "aborted" or bob.state == "aborted"
-    reason = alice.abort_reason or bob.abort_reason
-    return SessionTranscript(session_id, tuple(log), bob.verdict or alice.verdict,
-                             aborted, reason)
+def _transcript(log: list[WireMessage], *endpoints: _Endpoint) -> SessionTranscript:
+    """The session as the given endpoints saw it; an abort on either side counts."""
+    verdict, aborted, reason = None, False, ""
+    for e in endpoints:
+        verdict = verdict or e.verdict
+        aborted = aborted or e.state == "aborted"
+        reason = reason or e.abort_reason
+    return SessionTranscript(endpoints[0].session_id, tuple(log), verdict, aborted, reason)
 
 
 def run_session(alice_strategy: proto.AliceStrategy, bob_strategy: BobStrategy,
@@ -388,14 +408,12 @@ def run_session(alice_strategy: proto.AliceStrategy, bob_strategy: BobStrategy,
     default channel matches the transmittivity the sender pre-compensates
     for.
     """
-    channel = channel or ChannelModel(tau=params.tau)
-    alice_rng, bob_rng = _spawn_rngs(seed)
-    alice = AliceSession(alice_strategy, params, channel, alice_rng, session_id)
-    bob = BobSession(bob_strategy, bob_params or params, channel, bob_rng, session_id)
+    alice, bob = _endpoints(alice_strategy, bob_strategy, params, channel, seed,
+                            session_id, bob_params)
     if transport == "loopback":
-        return _run_loopback(alice, bob, session_id)
+        return _run_loopback(alice, bob)
     if transport == "tcp":
-        return _run_tcp(alice, bob, session_id)
+        return _run_tcp(alice, bob)
     raise ValueError(f"unknown transport {transport!r}")
 
 
@@ -404,100 +422,85 @@ def run_protocol(alice_strategy: proto.AliceStrategy, params: proto.ProtocolPara
                  channel: ChannelModel | None = None,
                  session_id: str = "session-0") -> SessionTranscript:
     """Loopback session with an honest receiver by default."""
-    return run_session(alice_strategy, bob_strategy or HonestBob(), params,
+    return run_session(alice_strategy, bob_strategy or BobStrategy(), params,
                        channel, seed, session_id, transport="loopback")
 
 
-def _run_loopback(alice: AliceSession, bob: BobSession,
-                  session_id: str) -> SessionTranscript:
+def _run_loopback(alice: AliceSession, bob: BobSession) -> SessionTranscript:
+    log = alice.start()
+    queue = deque([(bob, msg) for msg in log])
+    while queue:
+        receiver, msg = queue.popleft()
+        if receiver.done:
+            continue
+        replies = receiver.handle(msg)
+        log.extend(replies)
+        peer = alice if receiver is bob else bob
+        queue.extend([(peer, reply) for reply in replies])
+    return _transcript(log, alice, bob)
+
+
+def _drive(session: _Endpoint, sock: socket.socket) -> list[WireMessage]:
+    """Run one endpoint over a connected socket; returns the messages in wire order.
+
+    A line that does not decode, or that is longer than any valid message
+    for the session's k, is answered with an ABORT.
+    """
+    sock.settimeout(30.0)
+    limit = 4096 + 64 * session.params.k
     log: list[WireMessage] = []
-    to_bob = list(alice.start())
-    log.extend(to_bob)
-    while to_bob and not (alice.done and bob.done):
-        to_alice: list[WireMessage] = []
-        for msg in to_bob:
-            if bob.done:
-                break
-            replies = bob.handle(msg)
-            log.extend(replies)
-            to_alice.extend(replies)
-        to_bob = []
-        for msg in to_alice:
-            if alice.done:
-                break
-            replies = alice.handle(msg)
-            log.extend(replies)
-            to_bob.extend(replies)
-    return _finish(alice, bob, log, session_id)
+    with sock.makefile("rb") as rfile, sock.makefile("wb") as wfile:
+        outgoing = session.start()
+        while True:
+            for msg in outgoing:
+                wfile.write(encode(msg))
+                wfile.flush()
+                log.append(msg)
+            if session.done:
+                return log
+            line = rfile.readline(limit)
+            if not line:
+                raise ProtocolStateError("stream closed mid-session")
+            if len(line) == limit and not line.endswith(b"\n"):
+                outgoing = session._abort(f"message line exceeds {limit} bytes")
+                continue
+            try:
+                msg = decode_line(line)
+            except DecodeError as exc:
+                outgoing = session._abort(str(exc))
+                continue
+            log.append(msg)
+            outgoing = session.handle(msg)
 
 
-class _LineStream:
-    def __init__(self, sock: socket.socket):
-        sock.settimeout(30.0)
-        self._rfile = sock.makefile("rb")
-        self._wfile = sock.makefile("wb")
-
-    def send(self, data: bytes) -> None:
-        self._wfile.write(data)
-        self._wfile.flush()
-
-    def recv(self) -> bytes:
-        line = self._rfile.readline()
-        if not line:
-            raise ProtocolStateError("stream closed mid-session")
-        return line
+def _accept(server: socket.socket, session: _Endpoint) -> list[WireMessage]:
+    conn, _ = server.accept()
+    with conn:
+        return _drive(session, conn)
 
 
-def _drive_responder(session: BobSession, stream: _LineStream) -> list[WireMessage]:
-    log: list[WireMessage] = []
-    while not session.done:
-        msg = decode_line(stream.recv())
-        log.append(msg)
-        for reply in session.handle(msg):
-            stream.send(encode(reply))
-            log.append(reply)
-    return log
+def _connect(host: str, port: int, session: _Endpoint) -> list[WireMessage]:
+    with socket.create_connection((host, port), timeout=30.0) as sock:
+        return _drive(session, sock)
 
 
-def _drive_initiator(session: AliceSession, stream: _LineStream) -> list[WireMessage]:
-    log: list[WireMessage] = []
-    for msg in session.start():
-        stream.send(encode(msg))
-        log.append(msg)
-    while not session.done:
-        msg = decode_line(stream.recv())
-        log.append(msg)
-        for reply in session.handle(msg):
-            stream.send(encode(reply))
-            log.append(reply)
-    return log
-
-
-def _run_tcp(alice: AliceSession, bob: BobSession,
-             session_id: str) -> SessionTranscript:
-    server = socket.create_server(("127.0.0.1", 0))
-    port = server.getsockname()[1]
+def _run_tcp(alice: AliceSession, bob: BobSession) -> SessionTranscript:
     failures: list[BaseException] = []
 
     def serve():
         try:
-            conn, _ = server.accept()
-            with conn:
-                _drive_responder(bob, _LineStream(conn))
+            _accept(server, bob)
         except BaseException as exc:  # surfaced after join
             failures.append(exc)
 
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    try:
-        with socket.create_connection(("127.0.0.1", port), timeout=30.0) as sock:
-            log = _drive_initiator(alice, _LineStream(sock))
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        log = _connect("127.0.0.1", server.getsockname()[1], alice)
         thread.join(timeout=30.0)
-    finally:
-        server.close()
     if failures:
         raise failures[0]
-    return _finish(alice, bob, log, session_id)
+    return _transcript(log, alice, bob)
 
 
 def serve_single_session(host: str, port: int, bob_strategy: BobStrategy,
@@ -505,18 +508,9 @@ def serve_single_session(host: str, port: int, bob_strategy: BobStrategy,
                          channel: ChannelModel | None = None,
                          seed=0, session_id: str = "session-0") -> SessionTranscript:
     """Accept one TCP session as the receiver (CLI --listen mode)."""
-    channel = channel or ChannelModel(tau=params.tau)
-    _, bob_rng = _spawn_rngs(seed)
-    bob = BobSession(bob_strategy, params, channel, bob_rng, session_id)
-    server = socket.create_server((host, port))
-    try:
-        conn, _ = server.accept()
-        with conn:
-            log = _drive_responder(bob, _LineStream(conn))
-    finally:
-        server.close()
-    return SessionTranscript(session_id, tuple(log), bob.verdict,
-                             bob.state == "aborted", bob.abort_reason)
+    _, bob = _endpoints(None, bob_strategy, params, channel, seed, session_id)
+    with socket.create_server((host, port)) as server:
+        return _transcript(_accept(server, bob), bob)
 
 
 def connect_single_session(host: str, port: int, alice_strategy: proto.AliceStrategy,
@@ -524,10 +518,5 @@ def connect_single_session(host: str, port: int, alice_strategy: proto.AliceStra
                            channel: ChannelModel | None = None,
                            seed=0, session_id: str = "session-0") -> SessionTranscript:
     """Run the sender against a listening receiver (CLI --connect mode)."""
-    channel = channel or ChannelModel(tau=params.tau)
-    alice_rng, _ = _spawn_rngs(seed)
-    alice = AliceSession(alice_strategy, params, channel, alice_rng, session_id)
-    with socket.create_connection((host, port), timeout=30.0) as sock:
-        log = _drive_initiator(alice, _LineStream(sock))
-    return SessionTranscript(session_id, tuple(log), alice.verdict,
-                             alice.state == "aborted", alice.abort_reason)
+    alice, _ = _endpoints(alice_strategy, None, params, channel, seed, session_id)
+    return _transcript(_connect(host, port, alice), alice)

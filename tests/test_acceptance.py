@@ -186,11 +186,11 @@ def test_criterion_8_phase_space():
 def test_criterion_9_determinism():
     params = proto.ProtocolParams(1.0, 8, 8)
     for seed in (0, 1, 12345):
-        loop = tp.run_session(proto.HonestAlice(0), tp.HonestBob(), params,
+        loop = tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), params,
                               seed=seed)
-        loop2 = tp.run_session(proto.HonestAlice(0), tp.HonestBob(), params,
+        loop2 = tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), params,
                                seed=seed)
-        stream = tp.run_session(proto.HonestAlice(0), tp.HonestBob(), params,
+        stream = tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), params,
                                 seed=seed, transport="tcp")
         assert loop.to_bytes() == loop2.to_bytes() == stream.to_bytes()
     from phasebc import cli

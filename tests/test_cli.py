@@ -90,6 +90,19 @@ class TestSimulate:
         assert sorted(lines[:5]) == sorted(lines[5:])
 
 
+class TestTextFormat:
+    def test_text_values_are_the_structured_json(self, capsys):
+        argv = ["simulate", "-E", "1", "-M", "4", "-k", "2", "-n", "20"]
+        _, text = run_cli(argv, capsys)
+        _, structured = run_cli(argv + ["--format", "structured"], capsys)
+        doc = json.loads(structured)
+        width = max(len(k) for k in doc)
+        rows = text.splitlines()
+        assert [row[:width].rstrip() for row in rows] == list(doc)
+        assert [json.loads(row[width + 2:]) for row in rows] == list(doc.values())
+        assert rows[0] == "strategy".ljust(width) + '  "honest"'
+
+
 class TestBounds:
     def test_report_values(self, capsys):
         code, out = run_cli(["bounds", "-t", "1", "-M", "8", "-k", "1",

@@ -1,5 +1,8 @@
+import hashlib
 import math
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -43,6 +46,15 @@ class TestWireFormat:
         with pytest.raises(tp.DecodeError):
             tp.decode_line(b'{"kind": "HELLO"}\n')  # missing session id
 
+    def test_non_finite_numbers_rejected(self):
+        # encode refuses these, so decode must too
+        for literal in (b"NaN", b"Infinity", b"-Infinity", b"1e400"):
+            line = b'{"kind": "COMMIT", "session": "s", "amplitudes": [[' + literal + b', 0.0]]}\n'
+            with pytest.raises(tp.DecodeError):
+                tp.decode_line(line)
+        with pytest.raises(ValueError):
+            tp.encode(tp.WireMessage("COMMIT", "s", {"amplitudes": [[math.nan, 0.0]]}))
+
     def test_malformed_line_offset(self):
         first = tp.encode(self.sample_messages()[0])
         data = first + b"{broken\n"
@@ -85,32 +97,32 @@ class TestWireFormat:
 
 class TestSessions:
     def test_honest_loopback_accepts(self):
-        t = tp.run_session(proto.HonestAlice(0), tp.HonestBob(), make_params(), seed=1)
+        t = tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), make_params(), seed=1)
         assert t.verdict.accepted and not t.aborted
         assert [m.kind for m in t.messages] == ["HELLO", "HELLO", "COMMIT",
                                                 "OPEN", "VERDICT"]
 
     def test_tcp_equals_loopback(self):
         for seed in (0, 1, 2):
-            a = tp.run_session(proto.HonestAlice(1), tp.HonestBob(), make_params(),
+            a = tp.run_session(proto.HonestAlice(1), tp.BobStrategy(), make_params(),
                                seed=seed)
-            b = tp.run_session(proto.HonestAlice(1), tp.HonestBob(), make_params(),
+            b = tp.run_session(proto.HonestAlice(1), tp.BobStrategy(), make_params(),
                                seed=seed, transport="tcp")
             assert a.to_bytes() == b.to_bytes()
 
     def test_replay_byte_identical(self):
-        a = tp.run_session(proto.CheatOpenAlice(0), tp.HonestBob(), make_params(),
+        a = tp.run_session(proto.CheatOpenAlice(0), tp.BobStrategy(), make_params(),
                            seed=9)
-        b = tp.run_session(proto.CheatOpenAlice(0), tp.HonestBob(), make_params(),
+        b = tp.run_session(proto.CheatOpenAlice(0), tp.BobStrategy(), make_params(),
                            seed=9)
         assert a.to_bytes() == b.to_bytes()
 
     def test_transcript_decodes_to_messages(self):
-        t = tp.run_session(proto.HonestAlice(0), tp.HonestBob(), make_params(), seed=4)
+        t = tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), make_params(), seed=4)
         assert tuple(tp.decode_stream(t.to_bytes())) == t.messages
 
     def test_parameter_mismatch_aborts(self):
-        t = tp.run_session(proto.HonestAlice(0), tp.HonestBob(), make_params(),
+        t = tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), make_params(),
                            seed=1, bob_params=make_params(k=5))
         assert t.aborted and t.verdict is None
         assert "parameter mismatch" in t.abort_reason
@@ -121,14 +133,14 @@ class TestSessions:
         params = make_params(tau=0.5)
         channel = tp.ChannelModel(tau=0.5)
         for seed in range(20):
-            t = tp.run_session(proto.HonestAlice(0), tp.HonestBob(), params,
+            t = tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), params,
                                channel=channel, seed=seed)
             assert t.verdict.accepted
 
     def test_default_channel_follows_params_tau(self):
         params = make_params(tau=0.25)
         for seed in range(10):
-            t = tp.run_session(proto.HonestAlice(1), tp.HonestBob(), params,
+            t = tp.run_session(proto.HonestAlice(1), tp.BobStrategy(), params,
                                seed=seed)
             assert t.verdict.accepted
         commit = next(m for m in t.messages if m.kind == "COMMIT")
@@ -149,7 +161,7 @@ class TestSessions:
 
         def serve_on_port():
             results["bob"] = tp.serve_single_session("127.0.0.1", port,
-                                                     tp.HonestBob(), params, seed=3)
+                                                     tp.BobStrategy(), params, seed=3)
 
         thread = threading.Thread(target=serve_on_port)
         thread.start()
@@ -169,9 +181,96 @@ class TestSessions:
         assert results["bob"].to_bytes() == alice_t.to_bytes()
 
 
+# sha256 of to_bytes() for three fixed sessions.  Transcript bytes must stay
+# the same across commits, not only across reruns and transports.
+GOLDEN = {
+    "honest": "73659c8b21914772c2218392af1914cc09ffc0ac49861fbcc9dcda5ab9f49266",
+    "cheat": "3807e24d54352ac3e0e03e868e052a459f95fc436e8be86b5bd4aab4ab8cb1d1",
+    "mismatch": "cb93c8e188383e1f34ca656862ac3dcafbc5461849bb10c313af3c7ec4ded5a2",
+}
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_transcripts(case, transport):
+    sessions = {
+        "honest": dict(alice_strategy=proto.HonestAlice(1), params=make_params(),
+                       seed=7),
+        "cheat": dict(alice_strategy=proto.CheatOpenAlice(0),
+                      params=make_params(M=4, k=10), seed=(31, 5)),
+        "mismatch": dict(alice_strategy=proto.HonestAlice(0), params=make_params(),
+                         seed=1, bob_params=make_params(k=5)),
+    }
+    t = tp.run_session(bob_strategy=tp.BobStrategy(), session_id=f"golden-{case}",
+                       transport=transport, **sessions[case])
+    assert hashlib.sha256(t.to_bytes()).hexdigest() == GOLDEN[case]
+    assert t.aborted == (case == "mismatch")
+
+
+def free_port():
+    with socket.create_server(("127.0.0.1", 0)) as srv:
+        return srv.getsockname()[1]
+
+
+class TestDriverAborts:
+    """A line the driver cannot read is answered with an ABORT, not an exception."""
+
+    # (line, abort reason); the limit for k=4 is 4096 + 64*4 bytes
+    BAD_LINES = [(b"{broken\n", "malformed message line"),
+                 (b'{"kind": "HELLO", "session": "' + b"s" * 5000 + b'"}\n',
+                  "exceeds 4352 bytes")]
+
+    @pytest.mark.parametrize("line, reason", BAD_LINES, ids=["malformed", "over-long"])
+    def test_serve_answers_bad_line(self, line, reason):
+        port = free_port()
+        results = {}
+        thread = threading.Thread(target=lambda: results.update(
+            bob=tp.serve_single_session("127.0.0.1", port, tp.BobStrategy(),
+                                        make_params(), seed=3)))
+        thread.start()
+        for _ in range(50):  # wait for the listener to come up
+            try:
+                sock = socket.create_connection(("127.0.0.1", port), timeout=10.0)
+                break
+            except OSError:
+                time.sleep(0.1)
+        else:
+            pytest.fail("listener never came up")
+        with sock:
+            sock.sendall(line)
+            reply = sock.makefile("rb").readline()
+        thread.join(10.0)
+        assert not thread.is_alive()
+        t = results["bob"]
+        assert t.aborted and t.verdict is None
+        assert [m.kind for m in t.messages] == ["ABORT"]
+        assert reason in t.abort_reason
+        assert tp.decode_line(reply) == t.messages[0]
+
+    @pytest.mark.parametrize("line, reason", BAD_LINES, ids=["malformed", "over-long"])
+    def test_connect_answers_bad_line(self, line, reason):
+        with socket.create_server(("127.0.0.1", 0)) as srv:
+            def reply_garbage():
+                conn, _ = srv.accept()
+                with conn:
+                    conn.makefile("rb").readline()
+                    conn.sendall(line)
+                    conn.makefile("rb").readline()
+
+            thread = threading.Thread(target=reply_garbage)
+            thread.start()
+            t = tp.connect_single_session("127.0.0.1", srv.getsockname()[1],
+                                          proto.HonestAlice(0), make_params(), seed=3)
+            thread.join(10.0)
+        assert not thread.is_alive()
+        assert t.aborted and t.verdict is None
+        assert [m.kind for m in t.messages] == ["HELLO", "ABORT"]
+        assert reason in t.abort_reason
+
+
 class TestStateMachine:
     def bob(self, params=None):
-        return tp.BobSession(tp.HonestBob(), params or make_params(),
+        return tp.BobSession(tp.BobStrategy(), params or make_params(),
                              tp.ChannelModel(), np.random.default_rng(0), "s")
 
     def test_out_of_order_aborts(self):
@@ -198,27 +297,41 @@ class TestStateMachine:
         bob.handle(tp.WireMessage("COMMIT", "s", {"amplitudes": amps}))
 
     def test_malformed_commit_body_aborts(self):
-        bob = self.bob()
-        bob.handle(tp.WireMessage("HELLO", "s",
-                                  tp._params_body(make_params(), "alice")))
-        replies = bob.handle(tp.WireMessage("COMMIT", "s", {"nope": 1}))
-        assert replies[0].kind == "ABORT"
-        assert "malformed COMMIT" in replies[0].body["reason"]
+        for body in ({"nope": 1},
+                     {"amplitudes": [[math.nan, 0.0]] * 4},
+                     {"amplitudes": [[1.0, -math.inf]] * 4},
+                     {"amplitudes": [[10 ** 400, 0]] * 4}):
+            bob = self.bob()
+            bob.handle(tp.WireMessage("HELLO", "s",
+                                      tp._params_body(make_params(), "alice")))
+            replies = bob.handle(tp.WireMessage("COMMIT", "s", body))
+            assert replies[0].kind == "ABORT"
+            assert "malformed COMMIT" in replies[0].body["reason"]
 
     def test_out_of_range_phase_aborts(self):
-        bob = self.bob()
-        self.feed_to_open_state(bob)
-        replies = bob.handle(tp.WireMessage("OPEN", "s",
-                                            {"bit": 0, "phases": [0, 1, 2, 99]}))
-        assert replies[0].kind == "ABORT"
-        assert "malformed reveal" in replies[0].body["reason"]
+        for phases in ([0, 1, 2, 99], [0, 1, 2, 10 ** 30]):
+            bob = self.bob()
+            self.feed_to_open_state(bob)
+            replies = bob.handle(tp.WireMessage("OPEN", "s",
+                                                {"bit": 0, "phases": phases}))
+            assert replies[0].kind == "ABORT"
+            assert "malformed reveal" in replies[0].body["reason"]
 
     def test_missing_open_keys_abort(self):
-        bob = self.bob()
-        self.feed_to_open_state(bob)
-        replies = bob.handle(tp.WireMessage("OPEN", "s", {"bit": 0}))
-        assert replies[0].kind == "ABORT"
-        assert "malformed OPEN" in replies[0].body["reason"]
+        # wrong types are not coerced: a float phase 0.9 once opened as 0
+        for body in ({"bit": 0},
+                     {"bit": 0, "phases": [0.9, 0, 0, 0]},
+                     {"bit": 0, "phases": ["0", 0, 0, 0]},
+                     {"bit": 0, "phases": [False, 0, 0, 0]},
+                     {"bit": 0, "phases": "0000"},
+                     {"bit": True, "phases": [0, 0, 0, 0]},
+                     {"bit": 0.0, "phases": [0, 0, 0, 0]},
+                     {"bit": "0", "phases": [0, 0, 0, 0]}):
+            bob = self.bob()
+            self.feed_to_open_state(bob)
+            replies = bob.handle(tp.WireMessage("OPEN", "s", body))
+            assert replies[0].kind == "ABORT"
+            assert "malformed OPEN" in replies[0].body["reason"]
 
     def test_random_message_sequences_never_crash(self):
         # any valid-kind garbage either advances the session or aborts it
@@ -254,12 +367,31 @@ class TestStateMachine:
         with pytest.raises(tp.ProtocolStateError):
             alice.handle(tp.WireMessage("HELLO", "s", {}))
 
+    def test_malformed_verdict_body_aborts(self):
+        # "false" is a truthy string; it must not read as an acceptance
+        for body in ({"accepted": "false", "counts": [0, 0, 0, 0]},
+                     {"accepted": 1, "counts": [0, 0, 0, 0]},
+                     {"accepted": True, "counts": [0.0, 0, 0, 0]},
+                     {"accepted": True, "counts": [False, 0, 0, 0]},
+                     {"accepted": True, "counts": "0000"},
+                     {"accepted": True, "counts": [1, 0, 0, 0]},
+                     {"counts": [0, 0, 0, 0]}):
+            alice = tp.AliceSession(proto.HonestAlice(0), make_params(),
+                                    tp.ChannelModel(), np.random.default_rng(0), "s")
+            alice.start()
+            alice.handle(tp.WireMessage("HELLO", "s",
+                                        tp._params_body(make_params(), "bob")))
+            replies = alice.handle(tp.WireMessage("VERDICT", "s", body))
+            assert replies[0].kind == "ABORT"
+            assert "malformed VERDICT" in replies[0].body["reason"]
+            assert alice.verdict is None
+
 
 class TestSealing:
     def test_honest_strategy_gets_sealed_payload_only(self):
         seen = {}
 
-        class Probe(tp.HonestBob):
+        class Probe(tp.BobStrategy):
             def observe_commit(self, payload, params, rng):
                 seen["payload"] = payload
 
@@ -271,7 +403,7 @@ class TestSealing:
 
     def test_honest_strategy_never_offered_raw_amplitudes(self):
         with pytest.raises(tp.ProtocolStateError):
-            tp.run_session(proto.HonestAlice(0), tp.HonestBob(), make_params(),
+            tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), make_params(),
                            channel=tp.ChannelModel(adversarial_bob=True), seed=0)
 
 
