@@ -40,19 +40,49 @@ def _emit(text: str, out_path: str | None) -> None:
     sys.stdout.write(text)
 
 
+def _checked(parse, ok, expected: str):
+    """argparse type: parse the text and require ok(value), else exit 2."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return convert
+
+
+def _host_port(text: str) -> tuple[str, int]:
+    host, port = text.rsplit(":", 1)
+    return host, int(port)
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_ORDER = _checked(int, lambda v: v >= 2, "an integer >= 2")
+_SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_PROBABILITY = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_TRANSMITTIVITY = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+_NON_NEGATIVE = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_PORT = _checked(int, lambda v: 1 <= v <= 65535, "a port in 1..65535")
+_ADDRESS = _checked(_host_port, lambda v: v[0] and 1 <= v[1] <= 65535, "HOST:PORT")
+
+
 def _add_common(parser: argparse.ArgumentParser, *, energy=True, mk=True) -> None:
     if energy:
         group = parser.add_mutually_exclusive_group()
-        group.add_argument("-E", "--energy", type=float, default=None,
+        group.add_argument("-E", "--energy", type=_NON_NEGATIVE, default=None,
                            help="received mean photon number per mode")
-        group.add_argument("-t", "--amplitude", type=float, default=None,
+        group.add_argument("-t", "--amplitude", type=_NON_NEGATIVE, default=None,
                            help="field amplitude t = sqrt(E)")
     if mk:
-        parser.add_argument("-M", type=int, default=8, help="phase grid order")
-        parser.add_argument("-k", type=int, default=1, help="modes per commitment")
-    parser.add_argument("--epsilon", type=float, default=1e-2)
-    parser.add_argument("--tau", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        parser.add_argument("-M", type=_ORDER, default=8, help="phase grid order")
+        parser.add_argument("-k", type=_POSITIVE_INT, default=1,
+                            help="modes per commitment")
+    parser.add_argument("--epsilon", type=_PROBABILITY, default=1e-2)
+    parser.add_argument("--tau", type=_TRANSMITTIVITY, default=1.0)
+    parser.add_argument("--seed", type=_SEED, default=DEFAULT_SEED)
     parser.add_argument("--out", default=None, help="also write output to this file")
     parser.add_argument("--format", choices=("text", "structured"), default="text")
 
@@ -73,13 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sim)
     p_sim.add_argument("--strategy", choices=("honest", "cheat-open"),
                        default="honest")
-    p_sim.add_argument("-n", "--sessions", type=int, default=1000)
+    p_sim.add_argument("-n", "--sessions", type=_POSITIVE_INT, default=1000)
     p_sim.add_argument("--bit", type=int, choices=(0, 1), default=0)
     p_sim.add_argument("--transcript", default=None,
                        help="write the first session's transcript here")
-    p_sim.add_argument("--listen", default=None, metavar="PORT",
+    p_sim.add_argument("--listen", type=_PORT, default=None, metavar="PORT",
                        help="serve one session as the receiver on this port")
-    p_sim.add_argument("--connect", default=None, metavar="HOST:PORT",
+    p_sim.add_argument("--connect", type=_ADDRESS, default=None, metavar="HOST:PORT",
                        help="run one session as the sender against a listener")
 
     p_bounds = sub.add_parser("bounds", help="security report for one point")
@@ -95,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_wigner = sub.add_parser("wigner", help="phase-space grid CSV for sigma_b")
     _add_common(p_wigner)
     p_wigner.add_argument("-b", "--bit", type=int, choices=(0, 1), default=0)
-    p_wigner.add_argument("--halfwidth", type=float, default=None)
-    p_wigner.add_argument("--points", type=int, default=201)
+    p_wigner.add_argument("--halfwidth", type=_POSITIVE, default=None)
+    p_wigner.add_argument("--points", type=_ORDER, default=201)
     return parser
 
 
@@ -114,12 +144,12 @@ def cmd_simulate(args) -> int:
     if args.listen or args.connect:
         if args.listen:
             transcript = transport.serve_single_session(
-                "127.0.0.1", int(args.listen), transport.BobStrategy(), params,
+                "127.0.0.1", args.listen, transport.BobStrategy(), params,
                 channel, seed=args.seed)
         else:
-            host, port = args.connect.rsplit(":", 1)
+            host, port = args.connect
             transcript = transport.connect_single_session(
-                host, int(port), strategy, params, channel, seed=args.seed)
+                host, port, strategy, params, channel, seed=args.seed)
         sys.stdout.buffer.write(transcript.to_bytes())
         return 0 if transcript.verdict and transcript.verdict.accepted else 1
 

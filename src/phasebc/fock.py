@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import gammainc, gammaln
 
 # Numeric tolerance defaults: double precision headroom over truncation error.
@@ -171,6 +170,8 @@ def displacement_matrix(beta: complex, cutoff: int) -> FockOperator:
     accurate on the low-photon-number subspace (see the unitarity checks
     in the tests).
     """
+    from scipy.linalg import expm  # only caller; keeps scipy.linalg off the import path
+
     beta = complex(beta)
     a = annihilation_matrix(cutoff)
     gen = beta * a.conj().T - beta.conjugate() * a

@@ -51,6 +51,8 @@ class MayersKit:
     U: FockOperator               # switching unitary on the truncated space
     povm0: tuple[FockOperator, ...]   # M projectors plus the remainder element
     povm1: tuple[FockOperator, ...]
+    chi0: np.ndarray              # (M, N+1): povm0[m] projects onto chi0[m]
+    chi1: np.ndarray
     discarded_mass: float
 
     @property
@@ -108,12 +110,12 @@ def build_U(params: CodeParams) -> FockOperator:
     return FockOperator(params.cutoff, U * rotation[None, :])
 
 
-def build_povm(params: CodeParams) -> tuple[tuple[FockOperator, ...], tuple[FockOperator, ...]]:
-    """Both measurement families, each M rank-1 projectors plus a remainder.
+def _povm_vectors(params: CodeParams) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors chi of both measurement families, one per row.
 
-    The first family projects onto discrete-Fourier combinations of the
-    normalized b=0 eigenvectors; the second is its conjugation by the
-    half-step rotation (see the module docstring for why not the full
+    The first family's vectors are discrete-Fourier combinations of the
+    normalized b=0 eigenvectors; the second family's are their images under
+    the half-step rotation (see the module docstring for why not the full
     switching unitary).
     """
     eigen0 = eigen_sigma(0, params)
@@ -121,18 +123,29 @@ def build_povm(params: CodeParams) -> tuple[tuple[FockOperator, ...], tuple[Fock
     d = params.cutoff + 1
     basis = np.stack([eigen0.normalized_vector(r) for r in sectors], axis=1)
     rot = np.exp(1j * math.pi * np.arange(d) / params.M)
-    povm0, povm1 = [], []
+    chi0 = np.empty((params.M, d), dtype=complex)
     for m in range(params.M):
         coeff = np.exp(2j * math.pi * m * sectors / params.M) / math.sqrt(params.M)
-        chi = basis @ coeff
-        povm0.append(FockOperator(params.cutoff, np.outer(chi, chi.conj())))
-        chi1 = rot * chi
-        povm1.append(FockOperator(params.cutoff, np.outer(chi1, chi1.conj())))
-    eye = np.eye(d, dtype=complex)
-    for elems in (povm0, povm1):
-        total = sum(e.matrix for e in elems)
-        elems.append(FockOperator(params.cutoff, eye - total))
-    return tuple(povm0), tuple(povm1)
+        chi0[m] = basis @ coeff
+    chi1 = rot * chi0
+    # the kit is cached and shared between callers
+    chi0.setflags(write=False)
+    chi1.setflags(write=False)
+    return chi0, chi1
+
+
+def _projectors(chi: np.ndarray, cutoff: int) -> tuple[FockOperator, ...]:
+    """Rank-1 projectors onto the rows of chi plus the remainder element."""
+    elems = [FockOperator(cutoff, np.outer(c, c.conj())) for c in chi]
+    total = sum(e.matrix for e in elems)
+    elems.append(FockOperator(cutoff, np.eye(cutoff + 1, dtype=complex) - total))
+    return tuple(elems)
+
+
+def build_povm(params: CodeParams) -> tuple[tuple[FockOperator, ...], tuple[FockOperator, ...]]:
+    """Both measurement families, each M rank-1 projectors plus a remainder."""
+    chi0, chi1 = _povm_vectors(params)
+    return _projectors(chi0, params.cutoff), _projectors(chi1, params.cutoff)
 
 
 @lru_cache(maxsize=8)
@@ -151,7 +164,7 @@ def build_kit(params: CodeParams, t_limit: float = DEFAULT_T_LIMIT,
     eigen0 = eigen_sigma(0, params)
     eigen1 = eigen_sigma(1, params)
     discarded = float(eigen0.values[eigen0.values <= LAMBDA_FLOOR].sum())
-    povm0, povm1 = build_povm(params)
+    chi0, chi1 = _povm_vectors(params)
     return MayersKit(
         params=params,
         eigen0=eigen0,
@@ -159,8 +172,10 @@ def build_kit(params: CodeParams, t_limit: float = DEFAULT_T_LIMIT,
         purification0=build_purification(0, params, drop_below_floor=True),
         purification1=build_purification(1, params, drop_below_floor=True),
         U=build_U(params),
-        povm0=povm0,
-        povm1=povm1,
+        povm0=_projectors(chi0, params.cutoff),
+        povm1=_projectors(chi1, params.cutoff),
+        chi0=chi0,
+        chi1=chi1,
         discarded_mass=discarded,
     )
 
@@ -205,20 +220,17 @@ def conditional_bob_state(m: int, b: int, params: CodeParams) -> tuple[float, in
     if not 0 <= m < params.M:
         raise ValueError(f"outcome index {m} outside [0, {params.M})")
     psi = kit.purification_matrix(b)
-    povm = kit.povm1 if b else kit.povm0
-    chi_proj = povm[m].matrix
-    # rank-1 element: recover its vector from the dominant eigenpair
-    vals, vecs = np.linalg.eigh(chi_proj)
-    chi = vecs[:, -1]
+    chi = (kit.chi1 if b else kit.chi0)[m]
     cond = psi.T @ chi.conj()
     nrm = np.linalg.norm(cond)
     if nrm == 0.0:
         raise ValueError("conditional state has zero mass")
     cond = cond / nrm
-    fids = np.empty(params.M)
-    for mp in range(params.M):
-        code = coherent_vector(code_amplitude(mp, b, params.t, params.M), params.cutoff)
-        fids[mp] = abs(np.vdot(code.amps, cond)) ** 2
+    codes = np.stack([
+        coherent_vector(code_amplitude(mp, b, params.t, params.M), params.cutoff).amps
+        for mp in range(params.M)
+    ])
+    fids = np.abs(codes.conj() @ cond) ** 2
     return float(fids.max()), int(fids.argmax())
 
 

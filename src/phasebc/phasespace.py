@@ -62,10 +62,13 @@ class WignerGrid:
         return float(self.values.sum() * dx * dp)
 
     def csv_lines(self):
+        """Header and one x,p,w line per grid point, at 17 significant digits."""
         yield "x,p,w"
-        for i, x in enumerate(self.xs):
-            for j, p in enumerate(self.ps):
-                yield f"{x:.17g},{p:.17g},{self.values[i, j]:.17g}"
+        ps = [format(p, ".17g") for p in self.ps.tolist()]
+        for x, row in zip(self.xs.tolist(), self.values.tolist()):
+            x = format(x, ".17g")
+            for p, w in zip(ps, row):
+                yield f"{x},{p},{w:.17g}"
 
 
 def wigner_mixture(points: list[tuple[float, complex]], grid: GridSpec) -> WignerGrid:

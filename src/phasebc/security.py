@@ -12,8 +12,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .codestates import CodeParams, build_D
-from .fock import density_cutoff, poisson_weights, trace_norm
+import numpy as np
+
+from .fock import density_cutoff, poisson_weights
 
 
 class SearchExhausted(Exception):
@@ -30,14 +31,73 @@ class TraceNormBound:
 
 
 def trace_norm_bound(t: float, M: int) -> TraceNormBound:
-    """2 (2 e t^2 / M)^{M/2}, with the simplified power-of-two variant."""
+    """2 (2 e t^2 / M)^{M/2}, with the simplified power-of-two variant.
+
+    The value is inf (and invalid) where the power overflows a double.
+    """
     if M < 2:
         raise ValueError(f"modulation order must be >= 2, got {M}")
     if t == 0.0:
         return TraceNormBound(0.0, True, 2.0 ** (-M / 2.0))
-    q = (2.0 * math.e * t * t / M) ** (M / 2.0)
+    try:
+        q = (2.0 * math.e * t * t / M) ** (M / 2.0)
+    except OverflowError:
+        q = math.inf
     simplified = 2.0 ** (-M / 2.0) if M > 4.0 * math.e * t * t + 1.0 else None
     return TraceNormBound(2.0 * q, q < 0.5, simplified)
+
+
+# Newton from the lower bound converges in at most 6 steps for t <= 100 and
+# 2 <= M <= 4096; the cap only bounds the loop.
+_NEWTON_STEPS = 50
+_STEP_TOL = 4.0 * np.finfo(float).eps
+
+
+def _secular_trace_norm(weights: np.ndarray, M: int) -> float:
+    """||rho - sigma_0||_1 from the Poisson weights w_n, n = 0..N.
+
+    rho - sigma_0 splits into one block per photon-number residue class
+    {r, r+M, ...}.  Each block is diag(w) - v v^T with w = v^2 and trace 0,
+    so it has a single negative eigenvalue -mu_r and the trace norm is
+    2 sum_r mu_r.  Scaled by the class's largest weight w_p, nu = mu_r / w_p
+    is the root of the rank-one secular equation in pivoted form
+
+        g(nu) = sum_{i != p} u_i / (u_i + nu) - nu / (1 + nu),  u_i = w_i / w_p,
+
+    (Golub, SIAM Rev. 15, 1973; Bunch, Nielsen and Sorensen, Numer. Math.
+    31, 1978).  g is convex and decreasing on nu > 0, so Newton steps from a
+    lower bound rise monotonically onto the root.  Two lower bounds are
+    used: nu >= s = sum u_i, by eigenvalue interlacing, and nu (q + nu) >= s
+    with q = max u_i, which is tight once the other weights are small.
+    Classes with fewer than two nonzero weights contribute 0; weights that
+    underflow to exact zeros drop out of the sums.
+    """
+    n = weights.size
+    if M >= n:  # every class holds at most one weight
+        return 0.0
+    rows = -(-n // M)
+    w = np.zeros(rows * M)
+    w[:n] = weights
+    w = w.reshape(rows, M).T              # row r holds the class r mod M
+    w = w[np.count_nonzero(w, axis=1) >= 2]
+    # Weights are at most 1, so u_i = w_i / w_p cannot underflow to zero.
+    index = np.arange(w.shape[0])
+    pivot = w.argmax(axis=1)
+    top = w[index, pivot]
+    u = w / top[:, None]
+    u[index, pivot] = 0.0
+    s = u.sum(axis=1)
+    q = u.max(axis=1)
+    nu = np.maximum(s, 2.0 * s / (q + np.sqrt(q * q + 4.0 * s)))
+    for _ in range(_NEWTON_STEPS):
+        frac = u / (u + nu[:, None])
+        g = frac.sum(axis=1) - nu / (1.0 + nu)
+        slope = (frac / (u + nu[:, None])).sum(axis=1) + 1.0 / (1.0 + nu) ** 2
+        step = g / slope
+        nu += step
+        if np.all(np.abs(step) <= _STEP_TOL * nu):
+            break
+    return 2.0 * math.fsum(top * nu)
 
 
 def numeric_trace_norm_check(t: float, M: int) -> tuple[float, float, bool]:
@@ -46,15 +106,18 @@ def numeric_trace_norm_check(t: float, M: int) -> tuple[float, float, bool]:
     ok is vacuously true when the bound's validity condition fails.  Warns
     if the truncation tail is too heavy for the comparison to be trusted.
     """
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"invalid amplitude t={t}")
+    bound = trace_norm_bound(t, M)
     cutoff = density_cutoff(t * t)
-    tail = 1.0 - float(poisson_weights(t * t, cutoff).sum())
+    weights = poisson_weights(t * t, cutoff)
+    tail = 1.0 - float(weights.sum())
     if tail > 1e-10:
         warnings.warn(
             f"truncation tail {tail:.3e} above 1e-10 at cutoff {cutoff}",
             RuntimeWarning,
         )
-    numeric = trace_norm(build_D(CodeParams(t, M, cutoff)))
-    bound = trace_norm_bound(t, M)
+    numeric = _secular_trace_norm(weights, M)
     ok = (not bound.valid) or numeric <= bound.value + 1e-10
     return numeric, bound.value, ok
 
@@ -171,6 +234,10 @@ def find_params(epsilon: float, t: float, scan_limit: int = 512) -> Plan:
     )
 
 
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 @dataclass(frozen=True)
 class SecurityReport:
     t: float
@@ -186,15 +253,16 @@ class SecurityReport:
     feasible: bool
 
     def as_document(self) -> dict:
+        """Report fields; a bound beyond double range is written as null."""
         return {
             "t": self.t,
             "M": self.M,
             "k": self.k,
             "epsilon": self.epsilon,
-            "pcb_bound": self.pcb_bound,
+            "pcb_bound": _finite_or_none(self.pcb_bound),
             "pca_exact": self.pca_exact,
             "trace_norm_numeric": self.trace_norm_numeric,
-            "trace_norm_bound": self.trace_norm_bound,
+            "trace_norm_bound": _finite_or_none(self.trace_norm_bound),
             "bound_valid": self.bound_valid,
             "simplified_bound": self.simplified_bound,
             "feasible": self.feasible,

@@ -149,19 +149,27 @@ class SessionTranscript:
 
 
 def _params_body(params: proto.ProtocolParams, role: str) -> dict:
+    # plain Python numbers, as a decoded HELLO carries; the encoding is unchanged
     return {
         "role": role,
-        "energy": params.energy,
-        "modulation": params.M,
-        "repetitions": params.k,
-        "epsilon": params.epsilon,
-        "tau": params.tau,
+        "energy": float(params.energy),
+        "modulation": int(params.M),
+        "repetitions": int(params.k),
+        "epsilon": float(params.epsilon),
+        "tau": float(params.tau),
     }
 
 
 def _params_match(body: dict, params: proto.ProtocolParams) -> bool:
+    # Exact type() tests: bool is an int subclass, and JSON true == 1 == 1.0.
+    # A real field may arrive as int because 1.0 is written as 1.
     return (
-        body.get("energy") == params.energy
+        type(body.get("modulation")) is int
+        and type(body.get("repetitions")) is int
+        and type(body.get("energy")) in (int, float)
+        and type(body.get("epsilon")) in (int, float)
+        and type(body.get("tau")) in (int, float)
+        and body.get("energy") == params.energy
         and body.get("modulation") == params.M
         and body.get("repetitions") == params.k
         and body.get("epsilon") == params.epsilon

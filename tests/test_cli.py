@@ -3,6 +3,7 @@ import math
 import socket
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,7 +104,42 @@ class TestTextFormat:
         assert rows[0] == "strategy".ljust(width) + '  "honest"'
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "-n", "0"],
+        ["simulate", "--listen", "abc"],
+        ["simulate", "--connect", "nohost"],
+        ["bounds", "-k", "0"],
+        ["bounds", "-M", "1"],
+        ["bounds", "--epsilon", "0"],
+        ["plan", "--epsilon", "2"],
+        ["bounds", "-E", "-1"],
+        ["wigner", "--points", "1"],
+    ], ids=" ".join)
+    def test_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert "error: argument" in capsys.readouterr().err
+
+
 class TestBounds:
+    def test_beyond_double_range(self, capsys):
+        # the dense eigensolve at this cutoff (11,321) needs about 2 GB
+        tracemalloc.start()
+        try:
+            code, out = run_cli(["bounds", "-t", "100", "-M", "512",
+                                 "--format", "structured"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1  # binding fails: pca_exact is about 0.69
+        doc = json.loads(out)
+        assert 0.0 <= doc["trace_norm_numeric"] <= 2.0
+        assert doc["trace_norm_bound"] is None and doc["pcb_bound"] is None
+        assert doc["bound_valid"] is False and doc["feasible"] is False
+        assert peak < 50 * 2 ** 20
+
     def test_report_values(self, capsys):
         code, out = run_cli(["bounds", "-t", "1", "-M", "8", "-k", "1",
                              "--format", "structured"], capsys)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from phasebc.codestates import CodeParams, build_sigma, eigen_sigma
-from phasebc.fock import FockOperator, trace_norm
+from phasebc.codestates import CodeParams, build_sigma, code_amplitude, eigen_sigma
+from phasebc.fock import FockOperator, coherent_vector, trace_norm
 from phasebc.mayers import (
     DegenerateEigenvalue,
     build_kit,
@@ -201,6 +201,25 @@ class TestSteering:
         targets = [mp for _, mp in table.values()]
         assert min(fidelities) >= 1.0 - 1e-8
         assert sorted(targets) == list(range(M))  # bijection
+
+    @pytest.mark.parametrize("M", M_GRID)
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_matches_projector_eigenvector_reference(self, M, b):
+        # reference: recover chi from each projector, one code state at a time
+        params = params_for(M)
+        kit = build_kit(params)
+        psi = kit.purification_matrix(b)
+        povm = kit.povm1 if b else kit.povm0
+        for m in range(M):
+            chi = np.linalg.eigh(povm[m].matrix)[1][:, -1]
+            cond = psi.T @ chi.conj()
+            cond /= np.linalg.norm(cond)
+            fids = [abs(np.vdot(coherent_vector(code_amplitude(mp, b, params.t, M),
+                                                params.cutoff).amps, cond)) ** 2
+                    for mp in range(M)]
+            fid, mp = conditional_bob_state(m, b, params)
+            assert mp == int(np.argmax(fids))
+            assert abs(fid - max(fids)) <= 1e-12
 
     @pytest.mark.parametrize("M", M_GRID)
     def test_index_maps(self, M):

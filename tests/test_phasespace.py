@@ -69,6 +69,15 @@ class TestWigner:
         assert float(x) == grid.xs[0] and float(p) == grid.ps[0]
         assert float(w) == grid.values[0, 0]  # 17 digits round-trip exactly
 
+    def test_csv_lines_match_per_value_formatting(self):
+        grid = wigner_mixture([(0.5, 0.3 - 0.2j), (0.5, -1.1j)],
+                              GridSpec((-1.3, 0.7), (-0.4, 2.1), 7))
+        expected = ["x,p,w"] + [
+            f"{grid.xs[i]:.17g},{grid.ps[j]:.17g},{grid.values[i, j]:.17g}"
+            for i in range(grid.xs.size) for j in range(grid.ps.size)
+        ]
+        assert list(grid.csv_lines()) == expected
+
 
 class TestStellarPolynomial:
     def test_coefficients(self):

@@ -4,8 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from phasebc.codestates import CodeParams, build_sigma
-from phasebc.fock import FockOperator, helstrom_success, trace_norm
+from phasebc.codestates import CodeParams, build_D, build_sigma
+from phasebc.fock import FockOperator, density_cutoff, helstrom_success, trace_norm
 from phasebc.security import (
     SearchExhausted,
     epsilon_secure_check,
@@ -44,6 +44,12 @@ class TestTraceNormBound:
         assert trace_norm_bound(1.0, 8).valid
         assert not trace_norm_bound(2.0, 16).valid
 
+    def test_beyond_double_range(self):
+        # 2 (2e 10^4 / 512)^256 is about 10^512
+        b = trace_norm_bound(100.0, 512)
+        assert b.value == math.inf and not b.valid
+        assert pcb_bound(100.0, 512, 3) == math.inf
+
 
 class TestNumericTraceNorm:
     @pytest.mark.parametrize("M", [6, 8, 10, 12, 16])
@@ -61,6 +67,16 @@ class TestNumericTraceNorm:
     def test_zero_amplitude(self):
         numeric, _, ok = numeric_trace_norm_check(0.0, 8)
         assert numeric == 0.0 and ok
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0, 2.0, 4.0, 8.0])
+    @pytest.mark.parametrize("M", [2, 3, 6, 8, 16, "above-cutoff"])
+    def test_secular_solve_matches_dense_oracle(self, t, M):
+        cutoff = density_cutoff(t * t)
+        if M == "above-cutoff":
+            M = cutoff + 5  # every residue class holds at most one weight
+        dense = trace_norm(build_D(CodeParams(t, M, cutoff)))
+        numeric, _, _ = numeric_trace_norm_check(t, M)
+        assert abs(numeric - dense) <= max(1e-12 * dense, 1e-18)
 
 
 class TestPcb:

@@ -296,6 +296,29 @@ class TestStateMachine:
         amps = [[1.0, 0.0]] * k
         bob.handle(tp.WireMessage("COMMIT", "s", {"amplitudes": amps}))
 
+    def test_hello_field_types_checked(self):
+        # JSON true equals 1 and 1.0; an energy of 1.0 arrives as the int 1
+        params = make_params(k=1)
+        good = tp._params_body(params, "alice")
+        for key, value, accepted in (("energy", True, False),
+                                     ("repetitions", True, False),
+                                     ("modulation", 8.0, False),
+                                     ("tau", "1", False),
+                                     ("energy", 1, True)):
+            bob = self.bob(params)
+            body = dict(good, **{key: value})
+            replies = bob.handle(tp.WireMessage("HELLO", "s", body))
+            if accepted:
+                assert [r.kind for r in replies] == ["HELLO"]
+                assert bob.state == "wait_commit"
+            else:
+                assert [r.kind for r in replies] == ["ABORT"], (key, value)
+                assert "parameter mismatch" in replies[0].body["reason"]
+        # NumPy-typed parameters still agree over loopback
+        numpy_params = make_params(energy=np.float64(1.0), M=np.int64(8))
+        t = tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), numpy_params, seed=2)
+        assert not t.aborted and t.verdict.accepted
+
     def test_malformed_commit_body_aborts(self):
         for body in ({"nope": 1},
                      {"amplitudes": [[math.nan, 0.0]] * 4},
