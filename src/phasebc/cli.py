@@ -18,7 +18,7 @@ import sys
 from . import security, transport
 from . import protocol as proto
 from .codestates import CodeParams
-from .mayers import verification_report
+from .mayers import DEFAULT_M_LIMIT, DEFAULT_T_LIMIT, verification_report
 from .phasespace import GridSpec, wigner_sigma
 
 DEFAULT_SEED = 20260809  # documented default; override with --seed
@@ -65,19 +65,26 @@ _PROBABILITY = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 _TRANSMITTIVITY = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 _NON_NEGATIVE = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 _POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+# the Mayers kit is built only up to these limits
+_KIT_AMPLITUDE = _checked(float, lambda v: 0.0 <= v <= DEFAULT_T_LIMIT,
+                          f"a number in [0, {DEFAULT_T_LIMIT:g}]")
+_KIT_ENERGY = _checked(float, lambda v: 0.0 <= v <= DEFAULT_T_LIMIT ** 2,
+                       f"a number in [0, {DEFAULT_T_LIMIT ** 2:g}]")
+_KIT_ORDER = _checked(int, lambda v: 2 <= v <= DEFAULT_M_LIMIT,
+                      f"an integer in 2..{DEFAULT_M_LIMIT}")
 _PORT = _checked(int, lambda v: 1 <= v <= 65535, "a port in 1..65535")
 _ADDRESS = _checked(_host_port, lambda v: v[0] and 1 <= v[1] <= 65535, "HOST:PORT")
 
 
-def _add_common(parser: argparse.ArgumentParser, *, energy=True, mk=True) -> None:
-    if energy:
-        group = parser.add_mutually_exclusive_group()
-        group.add_argument("-E", "--energy", type=_NON_NEGATIVE, default=None,
-                           help="received mean photon number per mode")
-        group.add_argument("-t", "--amplitude", type=_NON_NEGATIVE, default=None,
-                           help="field amplitude t = sqrt(E)")
+def _add_common(parser: argparse.ArgumentParser, *, mk=True, energy=_NON_NEGATIVE,
+                amplitude=_NON_NEGATIVE, order=_ORDER) -> None:
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("-E", "--energy", type=energy, default=None,
+                       help="received mean photon number per mode")
+    group.add_argument("-t", "--amplitude", type=amplitude, default=None,
+                       help="field amplitude t = sqrt(E)")
     if mk:
-        parser.add_argument("-M", type=_ORDER, default=8, help="phase grid order")
+        parser.add_argument("-M", type=order, default=8, help="phase grid order")
         parser.add_argument("-k", type=_POSITIVE_INT, default=1,
                             help="modes per commitment")
     parser.add_argument("--epsilon", type=_PROBABILITY, default=1e-2)
@@ -116,11 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_bounds)
 
     p_plan = sub.add_parser("plan", help="smallest (M, k) for a target epsilon")
-    _add_common(p_plan, mk=False)
+    _add_common(p_plan, mk=False, energy=_POSITIVE, amplitude=_POSITIVE)
     p_plan.add_argument("--scan-limit", type=int, default=512)
 
     p_mayers = sub.add_parser("mayers", help="verify the delayed-choice attack kit")
-    _add_common(p_mayers)
+    _add_common(p_mayers, energy=_KIT_ENERGY, amplitude=_KIT_AMPLITUDE,
+                order=_KIT_ORDER)
 
     p_wigner = sub.add_parser("wigner", help="phase-space grid CSV for sigma_b")
     _add_common(p_wigner)

@@ -119,11 +119,19 @@ def cutoff_for_energy(energy: float, tail_tol: float) -> int:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     if energy == 0.0:
         return 0
-    n = 0
-    # P(X > n) for Poisson(E) is the regularized lower incomplete gamma.
-    while gammainc(n + 1, energy) >= tail_tol:
-        n += 1
-    return n
+    # P(X > n) for Poisson(E) is the regularized lower incomplete gamma,
+    # decreasing in n: bracket the first n below tail_tol, then bisect.
+    # Invariant: P(X > lo) >= tail_tol > P(X > hi); P(X > -1) = 1.
+    lo, hi = -1, math.ceil(energy) + 1
+    while gammainc(hi + 1, energy) >= tail_tol:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if gammainc(mid + 1, energy) >= tail_tol:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def density_cutoff(energy: float, tail_tol: float = 1e-12) -> int:

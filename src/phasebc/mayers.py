@@ -153,8 +153,8 @@ def build_kit(params: CodeParams, t_limit: float = DEFAULT_T_LIMIT,
               m_limit: int = DEFAULT_M_LIMIT) -> MayersKit:
     """Assemble and cache the full kit at desk scale.
 
-    Bipartite operators cost (N+1)^4 memory, so amplitude and grid order
-    are capped by default; pass larger limits explicitly to override.
+    Amplitude and grid order are capped by default (the CLI rejects larger
+    values); pass larger limits explicitly to override.
     """
     if params.t > t_limit or params.M > m_limit:
         raise ValueError(

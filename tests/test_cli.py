@@ -115,6 +115,10 @@ class TestUsageErrors:
         ["plan", "--epsilon", "2"],
         ["bounds", "-E", "-1"],
         ["wigner", "--points", "1"],
+        ["plan", "-E", "0"],
+        ["plan", "-t", "0"],
+        ["mayers", "-M", "16"],
+        ["mayers", "-t", "3"],
     ], ids=" ".join)
     def test_exit_two(self, argv, capsys):
         with pytest.raises(SystemExit) as err:

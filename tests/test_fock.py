@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 from phasebc import fock
 from phasebc.fock import (
@@ -50,6 +50,17 @@ class TestCutoffForEnergy:
         n = cutoff_for_energy(energy, tol)
         assert poisson_tail(energy, n) < tol
         assert n == 0 or poisson_tail(energy, n - 1) >= tol
+
+    def test_search_matches_photon_number_walk(self):
+        # the walk the search replaced: first n with gammainc(n + 1, E) < tol,
+        # here one ufunc call over every n instead of one call per n
+        energies = np.concatenate([np.logspace(-6, 4, 161), np.linspace(1.0, 1e4, 150)])
+        for energy in energies:
+            tails = gammainc(np.arange(1, 2 * energy + 200), energy)
+            for tol in (0.5, 1e-6, 1e-12, 1e-15):
+                assert tails[-1] < tol
+                expected = int(np.argmax(tails < tol))
+                assert cutoff_for_energy(float(energy), tol) == expected, (energy, tol)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):

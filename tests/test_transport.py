@@ -110,6 +110,39 @@ class TestSessions:
                                seed=seed, transport="tcp")
             assert a.to_bytes() == b.to_bytes()
 
+    def test_tcp_sets_nodelay_on_both_ends(self, monkeypatch):
+        # without it the sender's OPEN waits on the receiver's delayed ACK
+        drive = tp._drive
+        nodelay = {}
+
+        def recording_drive(session, sock):
+            log = drive(session, sock)
+            nodelay[type(session).__name__] = sock.getsockopt(socket.IPPROTO_TCP,
+                                                              socket.TCP_NODELAY)
+            return log
+
+        monkeypatch.setattr(tp, "_drive", recording_drive)
+        t = tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), make_params(),
+                           seed=1, transport="tcp")
+        assert t.verdict.accepted
+        assert set(nodelay) == {"AliceSession", "BobSession"}
+        assert all(nodelay.values())
+
+    def test_tcp_sends_one_write_per_turn(self, monkeypatch):
+        sendall = socket.socket.sendall
+        writes = []
+
+        def recording_sendall(sock, data, *args):
+            writes.append(bytes(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", recording_sendall)
+        t = tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), make_params(),
+                           seed=1, transport="tcp")
+        kinds = sorted(tuple(m.kind for m in tp.decode_stream(w)) for w in writes)
+        assert kinds == [("COMMIT", "OPEN"), ("HELLO",), ("HELLO",), ("VERDICT",)]
+        assert b"".join(writes) == t.to_bytes()
+
     def test_replay_byte_identical(self):
         a = tp.run_session(proto.CheatOpenAlice(0), tp.BobStrategy(), make_params(),
                            seed=9)
