@@ -18,6 +18,7 @@ import sys
 from . import security, transport
 from . import protocol as proto
 from .codestates import CodeParams
+from .fock import density_cutoff
 from .mayers import DEFAULT_M_LIMIT, DEFAULT_T_LIMIT, verification_report
 from .phasespace import GridSpec, wigner_sigma
 
@@ -58,30 +59,44 @@ def _host_port(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def _energy_types(ok, rule: str):
+    """The -E and -t converters, both requiring ok(E) of the energy E = t^2."""
+    return (_checked(float, ok, f"an energy E {rule}"),
+            _checked(float, lambda t: t >= 0.0 and ok(t * t),
+                     f"an amplitude t >= 0 with E = t^2 {rule}"))
+
+
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _ORDER = _checked(int, lambda v: v >= 2, "an integer >= 2")
 _SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _PROBABILITY = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 _TRANSMITTIVITY = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
-_NON_NEGATIVE = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 _POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_ENERGY = _energy_types(lambda e: 0.0 <= e < math.inf, "finite and >= 0")
+# bounds keeps about 46 bytes per photon number up to the density cutoff;
+# at this cap (E up to about 4.1e6) a report peaks near 250 MB
+_MAX_CUTOFF = 2 ** 22
+_REPORT_ENERGY = _energy_types(
+    lambda e: 0.0 <= e <= _MAX_CUTOFF and density_cutoff(e) <= _MAX_CUTOFF,
+    f">= 0 with a density cutoff of at most {_MAX_CUTOFF}")
+# a subnormal E carries fewer than 53 significant bits
+_PLAN_ENERGY = _energy_types(lambda e: sys.float_info.min <= e < math.inf,
+                             f"finite and >= {sys.float_info.min!r}")
 # the Mayers kit is built only up to these limits
-_KIT_AMPLITUDE = _checked(float, lambda v: 0.0 <= v <= DEFAULT_T_LIMIT,
-                          f"a number in [0, {DEFAULT_T_LIMIT:g}]")
-_KIT_ENERGY = _checked(float, lambda v: 0.0 <= v <= DEFAULT_T_LIMIT ** 2,
-                       f"a number in [0, {DEFAULT_T_LIMIT ** 2:g}]")
+_KIT_ENERGY = _energy_types(lambda e: 0.0 <= e <= DEFAULT_T_LIMIT ** 2,
+                            f"in [0, {DEFAULT_T_LIMIT ** 2:g}]")
 _KIT_ORDER = _checked(int, lambda v: 2 <= v <= DEFAULT_M_LIMIT,
                       f"an integer in 2..{DEFAULT_M_LIMIT}")
 _PORT = _checked(int, lambda v: 1 <= v <= 65535, "a port in 1..65535")
 _ADDRESS = _checked(_host_port, lambda v: v[0] and 1 <= v[1] <= 65535, "HOST:PORT")
 
 
-def _add_common(parser: argparse.ArgumentParser, *, mk=True, energy=_NON_NEGATIVE,
-                amplitude=_NON_NEGATIVE, order=_ORDER) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, mk=True, energy=_ENERGY,
+                order=_ORDER) -> None:
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("-E", "--energy", type=energy, default=None,
+    group.add_argument("-E", "--energy", type=energy[0], default=None,
                        help="received mean photon number per mode")
-    group.add_argument("-t", "--amplitude", type=amplitude, default=None,
+    group.add_argument("-t", "--amplitude", type=energy[1], default=None,
                        help="field amplitude t = sqrt(E)")
     if mk:
         parser.add_argument("-M", type=order, default=8, help="phase grid order")
@@ -120,15 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run one session as the sender against a listener")
 
     p_bounds = sub.add_parser("bounds", help="security report for one point")
-    _add_common(p_bounds)
+    _add_common(p_bounds, energy=_REPORT_ENERGY)
 
     p_plan = sub.add_parser("plan", help="smallest (M, k) for a target epsilon")
-    _add_common(p_plan, mk=False, energy=_POSITIVE, amplitude=_POSITIVE)
+    _add_common(p_plan, mk=False, energy=_PLAN_ENERGY)
     p_plan.add_argument("--scan-limit", type=int, default=512)
 
     p_mayers = sub.add_parser("mayers", help="verify the delayed-choice attack kit")
-    _add_common(p_mayers, energy=_KIT_ENERGY, amplitude=_KIT_AMPLITUDE,
-                order=_KIT_ORDER)
+    _add_common(p_mayers, energy=_KIT_ENERGY, order=_KIT_ORDER)
 
     p_wigner = sub.add_parser("wigner", help="phase-space grid CSV for sigma_b")
     _add_common(p_wigner)

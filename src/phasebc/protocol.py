@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codestates import code_phase
-
 
 class ProtocolAbort(Exception):
     """Raised when a message violates the protocol contract."""
@@ -60,7 +58,7 @@ class Commitment:
     def __post_init__(self):
         if self.b not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {self.b}")
-        object.__setattr__(self, "m", tuple(int(x) for x in self.m))
+        object.__setattr__(self, "m", tuple(map(int, self.m)))
 
 
 @dataclass(frozen=True)
@@ -69,9 +67,9 @@ class Verdict:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(map(int, self.counts))
         object.__setattr__(self, "counts", counts)
-        if self.accepted != all(c == 0 for c in counts):
+        if self.accepted != (not any(counts)):
             raise ValueError("verdict inconsistent with counts")
 
 
@@ -133,12 +131,22 @@ def commit(b: int, params: ProtocolParams,
     amp = math.sqrt(params.energy / params.tau)
     phases = 2.0 * math.pi * (m + b / 2.0) / params.M
     payload = QuantumPayload(amp * np.exp(1j * phases))
-    return Commitment(b, tuple(int(x) for x in m)), payload
+    return Commitment(b, tuple(m.tolist())), payload
 
 
 def expected_amplitudes(revealed_b: int, revealed_m, params: ProtocolParams) -> np.ndarray:
+    """t exp(i code_phase(m_j, b, M)) for every m_j, bit for bit, in one array pass.
+
+    A bad bit or phase index raises code_phase's ValueError.
+    """
     m = np.asarray(revealed_m, dtype=np.int64)
-    phases = np.array([code_phase(int(mj), revealed_b, params.M) for mj in m])
+    if revealed_b not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {revealed_b}")
+    outside = (m < 0) | (m >= params.M)
+    if outside.any():
+        first = int(m[outside.argmax()])
+        raise ValueError(f"phase index {first} outside [0, {params.M})")
+    phases = 2.0 * math.pi * (m + revealed_b / 2.0) / params.M
     return params.t * np.exp(1j * phases)
 
 
@@ -158,7 +166,7 @@ def bob_verify(payload: QuantumPayload, revealed: tuple[int, tuple[int, ...]],
     except (ValueError, OverflowError) as exc:  # OverflowError: phase beyond int64
         raise ProtocolAbort(f"malformed reveal: {exc}") from exc
     counts = payload.count_after_displacement(-targets, rng)
-    return Verdict(bool(np.all(counts == 0)), tuple(int(c) for c in counts))
+    return Verdict(not counts.any(), tuple(counts.tolist()))
 
 
 def cheat_open(commitment: Commitment, target_b: int) -> tuple[int, tuple[int, ...]]:

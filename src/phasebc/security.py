@@ -186,7 +186,13 @@ def _k_min(epsilon: float, t: float, M: int) -> int:
         # unit-energy sufficient condition k >= M^2 ln(1/eps)
         return max(1, math.ceil(M * M * math.log(1.0 / epsilon)))
     s = math.sin(math.pi / (2.0 * M))
-    return max(1, math.ceil(math.log(1.0 / epsilon) / (4.0 * t * t * s * s)))
+    need, per_mode = math.log(1.0 / epsilon), 4.0 * t * t * s * s
+    k = need / per_mode
+    if k == math.inf:  # beyond double range: the exact quotient of the two doubles
+        from fractions import Fraction  # imported here: it loads decimal
+
+        return math.ceil(Fraction(need) / Fraction(per_mode))
+    return max(1, math.ceil(k))
 
 
 @dataclass(frozen=True)

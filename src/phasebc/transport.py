@@ -22,6 +22,8 @@ import socket
 import threading
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -52,6 +54,14 @@ class WireMessage:
         if self.kind not in KINDS:
             raise ValueError(f"unknown message kind {self.kind!r}")
 
+    @cached_property
+    def _encoded(self) -> bytes:
+        # formatted on first use, so a sent message is formatted once; a
+        # decoded one is re-encoded canonically, not kept as the line it came in
+        doc = {"kind": self.kind, "session": self.session_id}
+        doc.update(self.body)
+        return (format_document(doc) + "\n").encode("utf-8")
+
 
 @dataclass(frozen=True)
 class ChannelModel:
@@ -69,8 +79,46 @@ class ChannelModel:
             raise ValueError(f"transmittivity must lie in (0,1], got {self.tau}")
 
 
+# Python and NumPy float types; bool and the integer types are not among them
+_FLOAT_TYPES = frozenset({float} | {t for t in np.sctypeDict.values()
+                                    if issubclass(t, np.floating)})
+# format() drops the sign of -0.0 and json reads bare 0 as int
+_ZERO_TEXT = {"0": "0.0", "-0": "-0.0"}
+
+
+def _float_texts(values: list[float]) -> list[str]:
+    """Python floats at 17 significant digits, by C-level maps over the list."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite float in message")
+    texts = list(map("{:.17g}".format, values))
+    if 0.0 in values:
+        texts = list(map(_ZERO_TEXT.get, texts, texts))
+    return texts
+
+
+def _bulk_text(doc: list | tuple) -> str | None:
+    """The elements of a list of ints, of floats or of float pairs, joined
+    without a call per element; None for any other list."""
+    types = set(map(type, doc))
+    if types == {int}:  # exactly int: bools print as true/false
+        return ",".join(map(str, doc))
+    pairs = types == {list} and set(map(len, doc)) == {2}  # the COMMIT amplitudes
+    if pairs:
+        doc = list(chain.from_iterable(doc))
+        types = set(map(type, doc))
+    if not types or not types <= _FLOAT_TYPES:
+        return None
+    texts = _float_texts(doc if types == {float} else list(map(float, doc)))
+    if pairs:
+        return "[" + "],[".join(map(",".join, zip(texts[0::2], texts[1::2]))) + "]"
+    return ",".join(texts)
+
+
 def format_document(doc) -> str:
-    """One structure as a single JSON text, floats at 17 significant digits."""
+    """One structure as a single JSON text, floats at 17 significant digits.
+
+    Numeric lists are formatted in bulk; other values recurse.
+    """
     if doc is None:
         return "null"
     if isinstance(doc, bool):
@@ -78,17 +126,14 @@ def format_document(doc) -> str:
     if isinstance(doc, (int, np.integer)):
         return str(int(doc))
     if isinstance(doc, (float, np.floating)):
-        x = float(doc)
-        if not math.isfinite(x):
-            raise ValueError("non-finite float in message")
-        if x == 0.0:
-            # format() drops the sign of -0.0 and json reads bare 0 as int
-            return "-0.0" if math.copysign(1.0, x) < 0 else "0.0"
-        return format(x, ".17g")
+        return _float_texts([float(doc)])[0]
     if isinstance(doc, str):
         return json.dumps(doc)
     if isinstance(doc, (list, tuple)):
-        return "[" + ",".join(format_document(v) for v in doc) + "]"
+        text = _bulk_text(doc)
+        if text is None:
+            text = ",".join(map(format_document, doc))
+        return "[" + text + "]"
     if isinstance(doc, dict):
         items = (f"{json.dumps(str(k))}:{format_document(v)}" for k, v in doc.items())
         return "{" + ",".join(items) + "}"
@@ -96,9 +141,7 @@ def format_document(doc) -> str:
 
 
 def encode(message: WireMessage) -> bytes:
-    doc = {"kind": message.kind, "session": message.session_id}
-    doc.update(message.body)
-    return (format_document(doc) + "\n").encode("utf-8")
+    return message._encoded
 
 
 def _finite_float(text: str) -> float:
@@ -202,6 +245,11 @@ class HelstromBob(BobStrategy):
     Applies the optimal two-state measurement for sigma_0 vs sigma_1 to
     the single received mode (k = 1 only).  Guesses are appended to
     .guesses so a caller can tally them against the opened bits.
+
+    The probability of guessing 0 depends only on the received amplitude,
+    which over a fixed channel takes 2M values, so it is kept per exact
+    amplitude (its bytes, which also tell 0.0 from -0.0), for a few times
+    2M amplitudes at most.
     """
 
     name = "helstrom"
@@ -213,13 +261,21 @@ class HelstromBob(BobStrategy):
         plus = vecs[:, vals > 0]
         self._projector = plus @ plus.conj().T
         self._cutoff = code_params.cutoff
+        self._p_zero: dict[bytes, float] = {}
+        self._p_zero_cap = 8 * code_params.M
         self.guesses: list[int] = []
 
     def observe_raw_amplitudes(self, amplitudes, params, rng):
         if amplitudes.size != 1:
             raise ValueError("Helstrom receiver handles single-mode sessions only")
-        v = coherent_vector(complex(amplitudes[0]), self._cutoff).amps
-        p_zero = float(np.real(np.vdot(v, self._projector @ v)))
+        alpha = np.complex128(amplitudes[0])
+        key = alpha.tobytes()
+        p_zero = self._p_zero.get(key)
+        if p_zero is None:
+            v = coherent_vector(complex(alpha), self._cutoff).amps
+            p_zero = float(np.real(np.vdot(v, self._projector @ v)))
+            if len(self._p_zero) < self._p_zero_cap:
+                self._p_zero[key] = p_zero
         self.guesses.append(0 if rng.random() < p_zero else 1)
 
 
@@ -306,7 +362,7 @@ class AliceSession(_Endpoint):
             self.state = "wait_verdict"
             return [
                 self._msg("COMMIT", {
-                    "amplitudes": [[a.real, a.imag] for a in amps],
+                    "amplitudes": np.column_stack((amps.real, amps.imag)).tolist(),
                 }),
                 self._msg("OPEN", {"bit": revealed_b, "phases": list(revealed_m)}),
             ]

@@ -119,6 +119,10 @@ class TestUsageErrors:
         ["plan", "-t", "0"],
         ["mayers", "-M", "16"],
         ["mayers", "-t", "3"],
+        ["plan", "-t", "1e-170"],
+        ["plan", "-E", "1e-320"],
+        ["bounds", "-t", "1e200"],
+        ["bounds", "-E", "1e300"],
     ], ids=" ".join)
     def test_exit_two(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -171,6 +175,19 @@ class TestPlan:
         assert doc["m_cubed_in_window"] is False
         assert doc["scanned"][-1]["nonempty"] is True
         assert all(not row["nonempty"] for row in doc["scanned"][:-1])
+
+    def test_k_beyond_double_range(self, capsys):
+        # log(1/eps) / (4 t^2 sin^2(pi/2M)) overflows a double; k is its exact ceiling
+        from fractions import Fraction
+
+        code, out = run_cli(["plan", "-E", "3e-308", "--epsilon", "1e-300",
+                             "--format", "structured"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        s = math.sin(math.pi / (2.0 * doc["M"]))
+        per_mode = 4.0 * doc["t"] * doc["t"] * s * s
+        assert math.log(1e300) / per_mode == math.inf
+        assert doc["k"] == math.ceil(Fraction(math.log(1e300)) / Fraction(per_mode))
 
     def test_search_exhausted_exit(self, capsys):
         code = cli.main(["plan", "--epsilon", "1e-2", "-t", "1",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phasebc import protocol as proto
+from phasebc.codestates import code_phase
 from phasebc.protocol import (
     CheatOpenAlice,
     Commitment,
@@ -95,6 +96,29 @@ class TestBobVerify:
     def test_verdict_consistency_invariant(self):
         with pytest.raises(ValueError):
             Verdict(True, (0, 1, 0))
+
+
+class TestExpectedAmplitudes:
+    @pytest.mark.parametrize("M", [2, 3, 8, 20])
+    def test_matches_code_phase_loop_bit_for_bit(self, M):
+        params = ProtocolParams(1.7, M, 2 * M)
+        m = list(range(M)) * 2
+        for b in (0, 1):
+            loop = params.t * np.exp(1j * np.array([code_phase(mj, b, M) for mj in m]))
+            vectorised = proto.expected_amplitudes(b, m, params)
+            assert vectorised.tobytes() == loop.tobytes()
+
+    def test_errors_are_code_phase_errors(self):
+        # the message is the ABORT reason a bad reveal leaves in the transcript
+        params = ProtocolParams(1.0, 8, 4)
+        for b, m in ((2, [0, 1, 2, 3]), (0, [0, 8, -1, 3]), (1, [0, 1, -3, 9]),
+                     (-1, [9, 0, 0, 0])):
+            with pytest.raises(ValueError) as loop:
+                for mj in m:
+                    code_phase(mj, b, params.M)
+            with pytest.raises(ValueError) as vectorised:
+                proto.expected_amplitudes(b, m, params)
+            assert str(vectorised.value) == str(loop.value)
 
 
 class TestCheatOpen:

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 import socket
@@ -10,7 +11,7 @@ import pytest
 from phasebc import protocol as proto
 from phasebc import transport as tp
 from phasebc.codestates import CodeParams, build_sigma
-from phasebc.fock import helstrom_success
+from phasebc.fock import coherent_vector, helstrom_success
 from phasebc.security import pcb_bound
 
 
@@ -70,6 +71,13 @@ class TestWireFormat:
         back = tp.decode_line(tp.encode(msg))
         decoded = np.array([complex(re, im) for re, im in back.body["amplitudes"]])
         assert np.array_equal(decoded, amps)
+
+    def test_decoded_message_encodes_canonically(self):
+        # a received line is re-encoded, never logged as it came in
+        msg = tp.decode_line(b'{ "kind": "COMMIT", "session": "s", '
+                             b'"amplitudes": [[1.0, -0.0], [2.50, 0]] }\n')
+        assert tp.encode(msg) == (b'{"kind":"COMMIT","session":"s",'
+                                  b'"amplitudes":[[1,-0.0],[2.5,0]]}\n')
 
     def test_stream_round_trip(self):
         msgs = self.sample_messages()
@@ -142,6 +150,23 @@ class TestSessions:
         kinds = sorted(tuple(m.kind for m in tp.decode_stream(w)) for w in writes)
         assert kinds == [("COMMIT", "OPEN"), ("HELLO",), ("HELLO",), ("VERDICT",)]
         assert b"".join(writes) == t.to_bytes()
+
+    def test_tcp_session_formats_each_sent_message_once(self, monkeypatch):
+        # the driver's encoding of a sent message is the one to_bytes() writes;
+        # only the messages Alice received are encoded again, for her log
+        format_document = tp.format_document
+        formatted = collections.Counter()
+
+        def counting_format(doc):
+            if isinstance(doc, dict) and "kind" in doc:
+                formatted[doc["kind"]] += 1
+            return format_document(doc)
+
+        monkeypatch.setattr(tp, "format_document", counting_format)
+        t = tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), make_params(k=16),
+                           seed=1, transport="tcp")
+        assert t.to_bytes() == t.to_bytes()
+        assert formatted == {"HELLO": 3, "COMMIT": 1, "OPEN": 1, "VERDICT": 2}
 
     def test_replay_byte_identical(self):
         a = tp.run_session(proto.CheatOpenAlice(0), tp.BobStrategy(), make_params(),
@@ -482,6 +507,37 @@ class TestAdversarialBob:
         optimum = helstrom_success(build_sigma(0, code), build_sigma(1, code))
         assert rate <= 0.5 + pcb_bound(1.0, 8, 1) / 2.0 + 3.0 * sigma
         assert abs(rate - optimum) <= 5.0 * sigma
+
+
+    def test_helstrom_lookup_matches_direct_computation(self):
+        code = CodeParams.from_energy(1.0, 8)
+
+        class DirectHelstromBob(tp.HelstromBob):
+            def observe_raw_amplitudes(self, amplitudes, params, rng):
+                v = coherent_vector(complex(amplitudes[0]), self._cutoff).amps
+                p_zero = float(np.real(np.vdot(v, self._projector @ v)))
+                self.guesses.append(0 if rng.random() < p_zero else 1)
+
+        params = make_params(M=8, k=1)
+        channel = tp.ChannelModel(adversarial_bob=True)
+        looked_up, direct = tp.HelstromBob(code), DirectHelstromBob(code)
+        for bob in (looked_up, direct):
+            for i in range(400):
+                tp.run_session(proto.RandomBitAlice(), bob, params, channel=channel,
+                               seed=(51, i), session_id=f"s{i}")
+        assert looked_up.guesses == direct.guesses
+        assert len(looked_up._p_zero) == 2 * params.M  # one entry per code amplitude
+        # amplitudes off the grid, 0.0 and -0.0 parts included: same guesses,
+        # and the table stops growing at its cap
+        rng = np.random.default_rng(3)
+        amps = [complex(x, y) for x, y in rng.normal(size=(300, 2))]
+        amps += [complex(1.0, 0.0), complex(1.0, -0.0), complex(-0.0, 1.0)]
+        for bob in (looked_up, direct):
+            draws = np.random.default_rng(4)
+            for a in amps + amps:
+                bob.observe_raw_amplitudes(np.array([a]), params, draws)
+        assert looked_up.guesses == direct.guesses
+        assert len(looked_up._p_zero) == 8 * params.M
 
 
 class TestChannelModel:

@@ -1,8 +1,13 @@
-"""Whatever bytes reach an endpoint, it replies, aborts, or the decoder refuses the line."""
+"""Whatever bytes reach an endpoint, it replies, aborts, or the decoder refuses the line.
+
+The bulk paths of the formatter write the same text as formatting one value at a time.
+"""
 
 import json
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,3 +68,74 @@ def test_any_bytes_end_in_replies_abort_or_decode_error(role, stream):
         assert all(isinstance(r, tp.WireMessage) for r in replies)
         if session.state == "aborted" and replies:
             assert [r.kind for r in replies] == ["ABORT"]
+
+
+def reference_format(doc) -> str:
+    """The formatter as one recursive call per value: the oracle for the bulk paths."""
+    if doc is None:
+        return "null"
+    if isinstance(doc, bool):
+        return "true" if doc else "false"
+    if isinstance(doc, (int, np.integer)):
+        return str(int(doc))
+    if isinstance(doc, (float, np.floating)):
+        x = float(doc)
+        if not math.isfinite(x):
+            raise ValueError("non-finite float in message")
+        if x == 0.0:
+            return "-0.0" if math.copysign(1.0, x) < 0 else "0.0"
+        return format(x, ".17g")
+    if isinstance(doc, str):
+        return json.dumps(doc)
+    if isinstance(doc, (list, tuple)):
+        return "[" + ",".join(reference_format(v) for v in doc) + "]"
+    if isinstance(doc, dict):
+        items = (f"{json.dumps(str(k))}:{reference_format(v)}" for k, v in doc.items())
+        return "{" + ",".join(items) + "}"
+    raise TypeError(f"cannot encode {type(doc).__name__}")
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                               -1e-310, 1.7976931348623157e308])
+any_float = st.one_of(
+    finite, edge_floats,
+    (finite | edge_floats).map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.floats(width=16, allow_nan=False, allow_infinity=False).map(np.float16),
+    # more bits, or a wider range, than a double
+    st.integers(1, 10 ** 6).map(lambda n: np.longdouble(n) / 3),
+    st.sampled_from(["1e-400", "-1e-400"]).map(np.longdouble),
+)
+ints = st.integers() | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+pairs = st.lists(any_float, min_size=2, max_size=2)
+# lists that take each bulk path, and near misses that must not
+bulk_lists = st.one_of(
+    st.lists(st.integers()), st.lists(any_float), st.lists(pairs),
+    st.lists(st.integers() | st.booleans()), st.lists(ints), st.lists(any_float | ints),
+    st.lists(st.lists(any_float, max_size=3)), st.lists(st.tuples(any_float, any_float)),
+)
+structures = st.recursive(
+    st.none() | st.booleans() | ints | any_float | st.text(max_size=3) | bulk_lists,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(structures)
+def test_bulk_formatter_matches_per_value_reference(doc):
+    assert tp.format_document(doc) == reference_format(doc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(any_float, min_size=1, max_size=8),
+       bad=st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, np.float32("nan"),
+                            np.float64("inf")]),
+       at=st.integers(0, 8), as_pairs=st.booleans())
+def test_non_finite_in_a_bulk_list_raises(values, bad, at, as_pairs):
+    values = values[:at] + [bad] + values[at:]
+    doc = [[v, v] for v in values] if as_pairs else values
+    with pytest.raises(ValueError, match="non-finite float in message"):
+        tp.format_document({"amplitudes": doc})
