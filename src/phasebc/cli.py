@@ -19,10 +19,14 @@ from . import security, transport
 from . import protocol as proto
 from .codestates import CodeParams
 from .fock import density_cutoff
-from .mayers import DEFAULT_M_LIMIT, DEFAULT_T_LIMIT, verification_report
+from .mayers import KIT_M_LIMIT, KIT_T_LIMIT, verification_report
 from .phasespace import GridSpec, wigner_sigma
 
 DEFAULT_SEED = 20260809  # documented default; override with --seed
+
+
+class _UsageError(Exception):
+    """Arguments that each parse but do not run together; main exits 2."""
 
 
 def render_document(doc: dict, fmt: str) -> str:
@@ -83,30 +87,45 @@ _REPORT_ENERGY = _energy_types(
 _PLAN_ENERGY = _energy_types(lambda e: sys.float_info.min <= e < math.inf,
                              f"finite and >= {sys.float_info.min!r}")
 # the Mayers kit is built only up to these limits
-_KIT_ENERGY = _energy_types(lambda e: 0.0 <= e <= DEFAULT_T_LIMIT ** 2,
-                            f"in [0, {DEFAULT_T_LIMIT ** 2:g}]")
-_KIT_ORDER = _checked(int, lambda v: 2 <= v <= DEFAULT_M_LIMIT,
-                      f"an integer in 2..{DEFAULT_M_LIMIT}")
+_KIT_ENERGY = _energy_types(lambda e: 0.0 <= e <= KIT_T_LIMIT ** 2,
+                            f"in [0, {KIT_T_LIMIT ** 2:g}]")
+_KIT_ORDER = _checked(int, lambda v: 2 <= v <= KIT_M_LIMIT,
+                      f"an integer in 2..{KIT_M_LIMIT}")
+# Allocation caps for a budget of about 250 MB, from tracemalloc peaks at
+# small sizes scaled linearly: a simulate run keeps about 580 bytes per mode
+# (k = 5,000 to 80,000, transcript and report written; a TCP session keeps
+# less), a wigner run about 185 bytes per grid point (points = 101 to 601,
+# CSV text included)
+_BUDGET = 250 * 10 ** 6
+_MAX_MODES = _BUDGET // 580
+_MAX_POINTS = math.isqrt(_BUDGET // 185)
+_SESSION_MODES = _checked(int, lambda v: 1 <= v <= _MAX_MODES,
+                          f"an integer in 1..{_MAX_MODES}")
+_GRID_POINTS = _checked(int, lambda v: 2 <= v <= _MAX_POINTS,
+                        f"an integer in 2..{_MAX_POINTS}")
 _PORT = _checked(int, lambda v: 1 <= v <= 65535, "a port in 1..65535")
 _ADDRESS = _checked(_host_port, lambda v: v[0] and 1 <= v[1] <= 65535, "HOST:PORT")
 
 
-def _add_common(parser: argparse.ArgumentParser, *, mk=True, energy=_ENERGY,
-                order=_ORDER) -> None:
+def _add_options(parser: argparse.ArgumentParser, *names: str, energy=_ENERGY,
+                 order=_ORDER, modes=_POSITIVE_INT) -> None:
+    """The -E/-t pair and the named options, which the command's handler reads."""
     group = parser.add_mutually_exclusive_group()
     group.add_argument("-E", "--energy", type=energy[0], default=None,
                        help="received mean photon number per mode")
     group.add_argument("-t", "--amplitude", type=energy[1], default=None,
                        help="field amplitude t = sqrt(E)")
-    if mk:
-        parser.add_argument("-M", type=order, default=8, help="phase grid order")
-        parser.add_argument("-k", type=_POSITIVE_INT, default=1,
-                            help="modes per commitment")
-    parser.add_argument("--epsilon", type=_PROBABILITY, default=1e-2)
-    parser.add_argument("--tau", type=_TRANSMITTIVITY, default=1.0)
-    parser.add_argument("--seed", type=_SEED, default=DEFAULT_SEED)
-    parser.add_argument("--out", default=None, help="also write output to this file")
-    parser.add_argument("--format", choices=("text", "structured"), default="text")
+    options = {
+        "-M": dict(type=order, default=8, help="phase grid order"),
+        "-k": dict(type=modes, default=1, help="modes per commitment"),
+        "--epsilon": dict(type=_PROBABILITY, default=1e-2),
+        "--tau": dict(type=_TRANSMITTIVITY, default=1.0),
+        "--seed": dict(type=_SEED, default=DEFAULT_SEED),
+        "--out": dict(default=None, help="also write output to this file"),
+        "--format": dict(choices=("text", "structured"), default="text"),
+    }
+    for name in names:
+        parser.add_argument(name, **options[name])
 
 
 def _energy_of(args) -> float:
@@ -122,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run commitment sessions")
-    _add_common(p_sim)
+    _add_options(p_sim, "-M", "-k", "--epsilon", "--tau", "--seed", "--out",
+                 "--format", modes=_SESSION_MODES)
     p_sim.add_argument("--strategy", choices=("honest", "cheat-open"),
                        default="honest")
     p_sim.add_argument("-n", "--sessions", type=_POSITIVE_INT, default=1000)
@@ -135,20 +155,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run one session as the sender against a listener")
 
     p_bounds = sub.add_parser("bounds", help="security report for one point")
-    _add_common(p_bounds, energy=_REPORT_ENERGY)
+    _add_options(p_bounds, "-M", "-k", "--epsilon", "--out", "--format",
+                 energy=_REPORT_ENERGY)
 
     p_plan = sub.add_parser("plan", help="smallest (M, k) for a target epsilon")
-    _add_common(p_plan, mk=False, energy=_PLAN_ENERGY)
+    _add_options(p_plan, "--epsilon", "--out", "--format", energy=_PLAN_ENERGY)
     p_plan.add_argument("--scan-limit", type=int, default=512)
 
     p_mayers = sub.add_parser("mayers", help="verify the delayed-choice attack kit")
-    _add_common(p_mayers, energy=_KIT_ENERGY, order=_KIT_ORDER)
+    _add_options(p_mayers, "-M", "--out", "--format", energy=_KIT_ENERGY,
+                 order=_KIT_ORDER)
 
     p_wigner = sub.add_parser("wigner", help="phase-space grid CSV for sigma_b")
-    _add_common(p_wigner)
+    _add_options(p_wigner, "-M", "--out")
     p_wigner.add_argument("-b", "--bit", type=int, choices=(0, 1), default=0)
     p_wigner.add_argument("--halfwidth", type=_POSITIVE, default=None)
-    p_wigner.add_argument("--points", type=_ORDER, default=201)
+    p_wigner.add_argument("--points", type=_GRID_POINTS, default=201)
     return parser
 
 
@@ -159,27 +181,28 @@ def _alice_strategy(args) -> proto.AliceStrategy:
 
 
 def cmd_simulate(args) -> int:
-    params = proto.ProtocolParams(_energy_of(args), args.M, args.k,
-                                  args.epsilon, args.tau)
-    channel = transport.ChannelModel(tau=args.tau)
+    try:
+        params = proto.ProtocolParams(_energy_of(args), args.M, args.k,
+                                      args.epsilon, args.tau)
+    except ValueError as exc:  # the converters leave only the E/tau rule to fail
+        raise _UsageError(f"argument -E/-t with --tau: {exc}") from exc
     strategy = _alice_strategy(args)
     if args.listen or args.connect:
         if args.listen:
             transcript = transport.serve_single_session(
                 "127.0.0.1", args.listen, transport.BobStrategy(), params,
-                channel, seed=args.seed)
+                seed=args.seed)
         else:
             host, port = args.connect
             transcript = transport.connect_single_session(
-                host, port, strategy, params, channel, seed=args.seed)
+                host, port, strategy, params, seed=args.seed)
         sys.stdout.buffer.write(transcript.to_bytes())
         return 0 if transcript.verdict and transcript.verdict.accepted else 1
 
     accepted = 0
     first = None
     for i in range(args.sessions):
-        transcript = transport.run_protocol(strategy, params,
-                                            seed=(args.seed, i), channel=channel,
+        transcript = transport.run_protocol(strategy, params, seed=(args.seed, i),
                                             session_id=f"session-{i}")
         if first is None:
             first = transcript
@@ -266,7 +289,8 @@ def cmd_wigner(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     handlers = {
         "simulate": cmd_simulate,
         "bounds": cmd_bounds,
@@ -274,7 +298,10 @@ def main(argv=None) -> int:
         "mayers": cmd_mayers,
         "wigner": cmd_wigner,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

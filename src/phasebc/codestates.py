@@ -41,8 +41,8 @@ class CodeParams:
         return self.t * self.t
 
     @classmethod
-    def from_energy(cls, energy: float, M: int, tail_tol: float = 1e-12) -> "CodeParams":
-        return cls(math.sqrt(energy), M, density_cutoff(energy, tail_tol))
+    def from_energy(cls, energy: float, M: int) -> "CodeParams":
+        return cls(math.sqrt(energy), M, density_cutoff(energy))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-# Numeric tolerance defaults: double precision headroom over truncation error.
+# Numeric tolerances: double precision headroom over truncation error.
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 TRACE_TOL = 1e-9
@@ -93,22 +93,21 @@ class FockOperator:
         return complex(np.trace(self.matrix))
 
 
-def assert_hermitian(op: FockOperator, tol: float = HERMITICITY_TOL) -> None:
+def assert_hermitian(op: FockOperator) -> None:
     defect = float(np.abs(op.matrix - op.matrix.conj().T).max())
-    if defect > tol:
+    if defect > HERMITICITY_TOL:
         raise ValueError(f"operator is not hermitian (defect {defect:.3e})")
 
 
-def assert_density(op: FockOperator, mass: float = 1.0,
-                   trace_tol: float = TRACE_TOL) -> None:
-    """Check hermiticity, positivity and trace of a (sub-normalized) density."""
+def assert_density(op: FockOperator) -> None:
+    """Check hermiticity, positivity and unit trace of a density."""
     assert_hermitian(op)
     eigs = np.linalg.eigvalsh(op.matrix)
     if eigs.min() < EIGENVALUE_FLOOR:
         raise ValueError(f"negative eigenvalue {eigs.min():.3e}")
     tr = float(np.trace(op.matrix).real)
-    if abs(tr - mass) > trace_tol:
-        raise ValueError(f"trace {tr} deviates from declared mass {mass}")
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {tr} deviates from 1")
 
 
 def cutoff_for_energy(energy: float, tail_tol: float) -> int:
@@ -134,9 +133,9 @@ def cutoff_for_energy(energy: float, tail_tol: float) -> int:
     return hi
 
 
-def density_cutoff(energy: float, tail_tol: float = 1e-12) -> int:
+def density_cutoff(energy: float) -> int:
     """Truncation policy for density-matrix work: tail cutoff plus margin."""
-    return cutoff_for_energy(energy, tail_tol) + math.ceil(6.0 * math.sqrt(energy)) + 10
+    return cutoff_for_energy(energy, 1e-12) + math.ceil(6.0 * math.sqrt(energy)) + 10
 
 
 def coherent_vector(alpha: complex, cutoff: int) -> FockVector:
@@ -192,13 +191,12 @@ def trace_norm(op: FockOperator) -> float:
     return float(np.abs(np.linalg.eigvalsh(op.matrix)).sum())
 
 
-def helstrom_success(rho0: FockOperator, rho1: FockOperator,
-                     mass: float = 1.0) -> float:
+def helstrom_success(rho0: FockOperator, rho1: FockOperator) -> float:
     """Optimal success probability of discriminating two equiprobable states."""
     if rho0.cutoff != rho1.cutoff:
         raise ValueError("cutoff mismatch")
-    assert_density(rho0, mass=mass)
-    assert_density(rho1, mass=mass)
+    assert_density(rho0)
+    assert_density(rho1)
     diff = FockOperator(rho0.cutoff, rho0.matrix - rho1.matrix)
     return 0.5 + trace_norm(diff) / 4.0
 

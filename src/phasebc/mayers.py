@@ -31,8 +31,8 @@ from .codestates import CodeParams, EigenSystem, code_amplitude, eigen_sigma
 from .fock import FockOperator, FockVector, coherent_vector
 
 LAMBDA_FLOOR = 1e-14
-DEFAULT_T_LIMIT = 2.0
-DEFAULT_M_LIMIT = 8
+KIT_T_LIMIT = 2.0
+KIT_M_LIMIT = 8
 
 
 class DegenerateEigenvalue(Exception):
@@ -70,7 +70,6 @@ def _active_sectors(eigen: EigenSystem, floor: float) -> np.ndarray:
 
 
 def build_purification(b: int, params: CodeParams,
-                       lambda_floor: float = LAMBDA_FLOOR,
                        drop_below_floor: bool = False) -> FockVector:
     """Rank-M purification sum_r lambda_r^{-1/2} phi_{r,b} (x) phi_{r,b}.
 
@@ -79,15 +78,15 @@ def build_purification(b: int, params: CodeParams,
     omitted (the vector then carries slightly less than unit norm).
     """
     eigen = eigen_sigma(b, params)
-    low = eigen.values <= lambda_floor
+    low = eigen.values <= LAMBDA_FLOOR
     if low.any() and not drop_below_floor:
         r = int(np.argmax(low))
         raise DegenerateEigenvalue(
-            f"lambda_{r} = {eigen.values[r]:.3e} at or below floor {lambda_floor}"
+            f"lambda_{r} = {eigen.values[r]:.3e} at or below floor {LAMBDA_FLOOR}"
         )
     d = params.cutoff + 1
     psi = np.zeros((d, d), dtype=complex)
-    for r in _active_sectors(eigen, lambda_floor):
+    for r in _active_sectors(eigen, LAMBDA_FLOOR):
         v = eigen.vectors[r].amps
         psi += np.outer(v, v) / math.sqrt(eigen.values[r])
     return FockVector(d * d - 1, psi.reshape(-1))
@@ -149,17 +148,15 @@ def build_povm(params: CodeParams) -> tuple[tuple[FockOperator, ...], tuple[Fock
 
 
 @lru_cache(maxsize=8)
-def build_kit(params: CodeParams, t_limit: float = DEFAULT_T_LIMIT,
-              m_limit: int = DEFAULT_M_LIMIT) -> MayersKit:
+def build_kit(params: CodeParams) -> MayersKit:
     """Assemble and cache the full kit at desk scale.
 
-    Amplitude and grid order are capped by default (the CLI rejects larger
-    values); pass larger limits explicitly to override.
+    Amplitude and grid order are capped (the CLI rejects larger values).
     """
-    if params.t > t_limit or params.M > m_limit:
+    if params.t > KIT_T_LIMIT or params.M > KIT_M_LIMIT:
         raise ValueError(
-            f"kit restricted to t <= {t_limit}, M <= {m_limit} "
-            f"(got t={params.t}, M={params.M}); raise the limits to override"
+            f"kit restricted to t <= {KIT_T_LIMIT}, M <= {KIT_M_LIMIT} "
+            f"(got t={params.t}, M={params.M})"
         )
     eigen0 = eigen_sigma(0, params)
     eigen1 = eigen_sigma(1, params)

@@ -15,6 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# NumPy's Poisson sampler rejects a rate above int64 max - 10 sqrt(int64 max);
+# the relative 1e-9 covers the rounding (a few ulps) by which a count's
+# rate |sent - target|^2 can exceed 4E
+POISSON_RATE_LIMIT = (float(np.iinfo(np.int64).max)
+                      - 10.0 * math.sqrt(np.iinfo(np.int64).max)) * (1.0 - 1e-9)
+
+
 class ProtocolAbort(Exception):
     """Raised when a message violates the protocol contract."""
 
@@ -24,7 +31,9 @@ class ProtocolParams:
     """Session parameters agreed between the parties.
 
     energy is the *received* mean photon number per mode; tau is the
-    channel transmittivity the sender pre-compensates for.
+    channel transmittivity the sender pre-compensates for.  The sent modes
+    carry E/tau, and a count's Poisson rate is at most 4E/tau (a reveal
+    half a turn off), which must stay within NumPy's sampler range.
     """
 
     energy: float
@@ -44,6 +53,10 @@ class ProtocolParams:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"transmittivity must lie in (0,1], got {self.tau}")
+        if not 4.0 * self.energy / self.tau <= POISSON_RATE_LIMIT:  # also inf
+            raise ValueError(
+                f"4E/tau = {4.0 * self.energy / self.tau!r} exceeds the Poisson "
+                f"sampler's limit {POISSON_RATE_LIMIT:.6g}")
 
     @property
     def t(self) -> float:
@@ -82,15 +95,15 @@ class QuantumPayload:
     (channel scaling, adversarial receivers in bound-validation runs).
     """
 
-    __slots__ = ("_amps", "sealed")
+    __slots__ = ("_amps",)
+    sealed = True
 
-    def __init__(self, amplitudes, sealed: bool = True):
+    def __init__(self, amplitudes):
         amps = np.array(amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("payload needs a non-empty amplitude vector")
         amps.setflags(write=False)
         self._amps = amps
-        self.sealed = bool(sealed)
 
     def __len__(self) -> int:
         return self._amps.size
@@ -117,7 +130,7 @@ def _raw_amplitudes(payload: QuantumPayload) -> np.ndarray:
 
 def scale_payload(payload: QuantumPayload, factor: float) -> QuantumPayload:
     """Pure-loss channel action: every amplitude scaled by sqrt(tau)."""
-    return QuantumPayload(_raw_amplitudes(payload) * factor, sealed=payload.sealed)
+    return QuantumPayload(_raw_amplitudes(payload) * factor)
 
 
 def commit(b: int, params: ProtocolParams,

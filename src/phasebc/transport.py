@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from . import protocol as proto
-from .codestates import CodeParams, build_sigma
+from .codestates import CodeParams, eigen_sigma
 from .fock import coherent_vector
 
 KINDS = ("HELLO", "COMMIT", "OPEN", "VERDICT", "ABORT")
@@ -246,6 +246,13 @@ class HelstromBob(BobStrategy):
     the single received mode (k = 1 only).  Guesses are appended to
     .guesses so a caller can tally them against the opened bits.
 
+    The measurement projects onto the positive eigenspace of sigma_0 -
+    sigma_1.  On each residue class r mod M the difference is
+    2(|e_r><o_r| + |o_r><e_r|), where e_r and o_r are the even-j and odd-j
+    parts of the class's amplitudes at photon numbers r + jM; they are
+    orthogonal, so the class contributes the single positive eigenvector
+    (e_r/|e_r| + o_r/|o_r|)/sqrt(2), or none when either part is zero.
+
     The probability of guessing 0 depends only on the received amplitude,
     which over a fixed channel takes 2M values, so it is kept per exact
     amplitude (its bytes, which also tell 0.0 from -0.0), for a few times
@@ -255,11 +262,16 @@ class HelstromBob(BobStrategy):
     name = "helstrom"
 
     def __init__(self, code_params: CodeParams):
-        sigma0 = build_sigma(0, code_params).matrix
-        sigma1 = build_sigma(1, code_params).matrix
-        vals, vecs = np.linalg.eigh(sigma0 - sigma1)
-        plus = vecs[:, vals > 0]
-        self._projector = plus @ plus.conj().T
+        odd = (np.arange(code_params.cutoff + 1) // code_params.M) % 2 == 1
+        plus = []
+        for v in eigen_sigma(0, code_params).vectors:
+            even_part, odd_part = np.where(odd, 0.0, v.amps), np.where(odd, v.amps, 0.0)
+            norms = np.linalg.norm(even_part), np.linalg.norm(odd_part)
+            if min(norms) > 0.0:
+                plus.append((even_part / norms[0] + odd_part / norms[1]) / math.sqrt(2.0))
+        # the reshape keeps two axes when no class has both parts (E = 0)
+        plus = np.array(plus).reshape(len(plus), code_params.cutoff + 1)
+        self._projector = plus.T @ plus.conj()
         self._cutoff = code_params.cutoff
         self._p_zero: dict[bytes, float] = {}
         self._p_zero_cap = 8 * code_params.M
@@ -482,12 +494,10 @@ def run_session(alice_strategy: proto.AliceStrategy, bob_strategy: BobStrategy,
 
 
 def run_protocol(alice_strategy: proto.AliceStrategy, params: proto.ProtocolParams,
-                 seed=0, bob_strategy: BobStrategy | None = None,
-                 channel: ChannelModel | None = None,
-                 session_id: str = "session-0") -> SessionTranscript:
-    """Loopback session with an honest receiver by default."""
-    return run_session(alice_strategy, bob_strategy or BobStrategy(), params,
-                       channel, seed, session_id, transport="loopback")
+                 seed=0, session_id: str = "session-0") -> SessionTranscript:
+    """Loopback session with an honest receiver over the default channel."""
+    return run_session(alice_strategy, BobStrategy(), params, seed=seed,
+                       session_id=session_id)
 
 
 def _run_loopback(alice: AliceSession, bob: BobSession) -> SessionTranscript:
@@ -573,19 +583,15 @@ def _run_tcp(alice: AliceSession, bob: BobSession) -> SessionTranscript:
 
 
 def serve_single_session(host: str, port: int, bob_strategy: BobStrategy,
-                         params: proto.ProtocolParams,
-                         channel: ChannelModel | None = None,
-                         seed=0, session_id: str = "session-0") -> SessionTranscript:
+                         params: proto.ProtocolParams, seed=0) -> SessionTranscript:
     """Accept one TCP session as the receiver (CLI --listen mode)."""
-    _, bob = _endpoints(None, bob_strategy, params, channel, seed, session_id)
+    _, bob = _endpoints(None, bob_strategy, params, None, seed, "session-0")
     with socket.create_server((host, port)) as server:
         return _transcript(_accept(server, bob), bob)
 
 
 def connect_single_session(host: str, port: int, alice_strategy: proto.AliceStrategy,
-                           params: proto.ProtocolParams,
-                           channel: ChannelModel | None = None,
-                           seed=0, session_id: str = "session-0") -> SessionTranscript:
+                           params: proto.ProtocolParams, seed=0) -> SessionTranscript:
     """Run the sender against a listening receiver (CLI --connect mode)."""
-    alice, _ = _endpoints(alice_strategy, None, params, channel, seed, session_id)
+    alice, _ = _endpoints(alice_strategy, None, params, None, seed, "session-0")
     return _transcript(_connect(host, port, alice), alice)

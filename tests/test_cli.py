@@ -1,9 +1,14 @@
+import contextlib
 import json
 import math
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,12 +128,86 @@ class TestUsageErrors:
         ["plan", "-E", "1e-320"],
         ["bounds", "-t", "1e200"],
         ["bounds", "-E", "1e300"],
+        # 4E/tau beyond NumPy's Poisson limit, or E/tau overflowing to inf
+        ["simulate", "-E", "1e300", "--tau", "0.5", "-n", "1"],
+        ["simulate", "--strategy", "cheat-open", "-E", "1e19", "-M", "2", "-n", "1"],
+        ["simulate", "-M", "3", "-k", "2", "--tau", "1e-320", "-n", "3"],
+        # one past the allocation caps
+        ["simulate", "-k", str(cli._MAX_MODES + 1)],
+        ["wigner", "--points", str(cli._MAX_POINTS + 1)],
     ], ids=" ".join)
     def test_exit_two(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 2
         assert "error: argument" in capsys.readouterr().err
+
+    # options the command's handler never read
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--tau", "0.5"],
+        ["bounds", "--seed", "4"],
+        ["plan", "--tau", "0.5"],
+        ["plan", "--seed", "4"],
+        ["mayers", "-k", "7"],
+        ["mayers", "--epsilon", "0.3"],
+        ["mayers", "--tau", "0.1"],
+        ["mayers", "--seed", "1"],
+        ["wigner", "-k", "9"],
+        ["wigner", "--epsilon", "0.3"],
+        ["wigner", "--tau", "0.2"],
+        ["wigner", "--seed", "5"],
+        ["wigner", "--format", "structured"],
+    ], ids=" ".join)
+    def test_unread_option_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestAllocationCaps:
+    @pytest.mark.parametrize("command, option, cap", [
+        ("simulate", "-k", cli._MAX_MODES),
+        ("wigner", "--points", cli._MAX_POINTS),
+    ], ids=["simulate -k", "wigner --points"])
+    def test_cap_checked_at_parse_time(self, command, option, cap, capsys):
+        # parse_args alone: no command body runs at the cap
+        parser = cli.build_parser()
+        args = parser.parse_args([command, option, str(cap)])
+        assert vars(args)[option.lstrip("-")] == cap
+        with pytest.raises(SystemExit) as err:
+            parser.parse_args([command, option, str(cap + 1)])
+        assert err.value.code == 2
+        assert f"got '{cap + 1}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, size, cap", [
+        (["simulate", "--strategy", "cheat-open", "-k", "5000", "-n", "2",
+          "--format", "structured"], 5000, cli._MAX_MODES),
+        (["wigner", "--points", "101"], 101 ** 2, cli._MAX_POINTS ** 2),
+    ], ids=["simulate -k", "wigner --points"])
+    def test_cap_keeps_budget(self, argv, size, cap, tmp_path):
+        # the traced peak at a small size, scaled to the cap, stays near the budget
+        argv = argv + ["--out", str(tmp_path / "out")]
+        if argv[0] == "simulate":
+            argv += ["--transcript", str(tmp_path / "transcript")]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak / size * cap <= 1.1 * cli._BUDGET
+
+
+def test_import_leaves_out_lazy_modules():
+    # scipy.linalg (expm) and fractions (exact plan k) load only when used
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, phasebc.cli; "
+            "print(sorted({'scipy.linalg', 'fractions'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == "[]\n"
 
 
 class TestBounds:

@@ -231,3 +231,23 @@ class TestParams:
             ProtocolParams(1.0, 8, 1, tau=0.0)
         with pytest.raises(ValueError):
             ProtocolParams(1.0, 8, 1, epsilon=1.0)
+
+    @pytest.mark.parametrize("energy, tau", [(1e300, 0.5), (1e19, 1.0), (1.0, 1e-320),
+                                             (1.5e308, 1.0)])
+    def test_rate_beyond_poisson_limit(self, energy, tau):
+        with pytest.raises(ValueError, match="Poisson"):
+            ProtocolParams(energy, 8, 1, tau=tau)
+
+    def test_largest_rate_samples(self):
+        # at the limit, a reveal half a turn off (rate 4E, rounded up by a few
+        # ulps) still draws; one ulp above the limit is refused
+        energy = proto.POISSON_RATE_LIMIT / 4.0
+        with pytest.raises(ValueError):
+            ProtocolParams(np.nextafter(energy, math.inf), 8, 1)
+        for M in (2, 4, 8, 20):
+            params = ProtocolParams(energy, M, 2000)
+            c, payload = commit(0, params, np.random.default_rng(M))
+            far = [(m + M // 2) % M for m in c.m]
+            counts = payload.count_after_displacement(
+                -proto.expected_amplitudes(0, far, params), np.random.default_rng(0))
+            assert counts.min() > 0

@@ -10,7 +10,7 @@ import pytest
 
 from phasebc import protocol as proto
 from phasebc import transport as tp
-from phasebc.codestates import CodeParams, build_sigma
+from phasebc.codestates import CodeParams, build_sigma, code_amplitude
 from phasebc.fock import coherent_vector, helstrom_success
 from phasebc.security import pcb_bound
 
@@ -538,6 +538,32 @@ class TestAdversarialBob:
                 bob.observe_raw_amplitudes(np.array([a]), params, draws)
         assert looked_up.guesses == direct.guesses
         assert len(looked_up._p_zero) == 8 * params.M
+
+    @pytest.mark.parametrize("energy, M", [(1.0, 8), (1.0, 4), (4.0, 8)])
+    def test_projector_matches_dense_eigh(self, energy, M):
+        # Oracle: the positive eigenspace of the dense sigma_0 - sigma_1.
+        # Eigenvalues below the numerical-rank tolerance span its null space,
+        # which rounding splits between both signs.
+        code = CodeParams.from_energy(energy, M)
+        diff = build_sigma(0, code).matrix - build_sigma(1, code).matrix
+        vals, vecs = np.linalg.eigh(diff)
+        plus = vecs[:, vals > np.abs(vals).max() * diff.shape[0] * np.finfo(float).eps]
+        dense = plus @ plus.conj().T
+        projector = tp.HelstromBob(code)._projector
+        assert abs(np.trace(projector).real - plus.shape[1]) < 1e-12
+        # On the grid, off it on the code circle and at half its radius, and
+        # zeros of either sign.  Farther out the oracle itself drifts: at
+        # E=1, M=8 the eigenvector of the smallest eigenvalue (9e-9) is good
+        # to about eps |diff| / 9e-9, which moves p by up to 8e-13 at |alpha| = 3.
+        rng = np.random.default_rng(6)
+        amps = [code_amplitude(m, b, code.t, M) for m in range(M) for b in (0, 1)]
+        amps += [r * code.t * np.exp(1j * phi) for r in (1.0, 0.5)
+                 for phi in rng.uniform(0.0, 2.0 * math.pi, 50)]
+        amps += [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+        for alpha in amps:
+            v = coherent_vector(alpha, code.cutoff).amps
+            p_dense = np.vdot(v, dense @ v).real
+            assert abs(np.vdot(v, projector @ v).real - p_dense) <= 1e-14, alpha
 
 
 class TestChannelModel:
