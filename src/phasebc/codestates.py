@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .fock import FockOperator, FockVector, coherent_vector, density_cutoff, poisson_weights
+from .fock import (FockOperator, FockVector, _log_poisson_weights, coherent_vector,
+                   density_cutoff, poisson_weights)
 
 
 @dataclass(frozen=True)
@@ -90,22 +90,34 @@ def build_ideal_rho(t: float, cutoff: int) -> FockOperator:
     return FockOperator(cutoff, np.diag(poisson_weights(t * t, cutoff)).astype(complex))
 
 
+def _by_class(values: np.ndarray, M: int) -> np.ndarray:
+    """Photon-number values in class-major layout, shape (M, ceil(len/M)).
+
+    Row r holds the values at r, r+M, r+2M, ..., zero-padded past the end.
+    """
+    padded = np.zeros(-(-values.size // M) * M, dtype=values.dtype)
+    padded[: values.size] = values
+    return padded.reshape(-1, M).T
+
+
+def _signs(b: int, params: CodeParams) -> np.ndarray:
+    """(-1)^{b j} at photon number r + jM: the phase e^{i pi b j} of sigma_b, exactly."""
+    return 1 - 2 * (b * (np.arange(params.cutoff + 1) // params.M) % 2)
+
+
+def _amplitudes(b: int, params: CodeParams) -> np.ndarray:
+    """sigma_b's eigenvector amplitudes at every photon number; class r of them
+    is eigen_sigma's vectors[r]."""
+    return np.exp(_log_poisson_weights(params.energy, params.cutoff) / 2.0) * _signs(b, params)
+
+
 def _sigma_entries(params: CodeParams, b: int) -> np.ndarray:
-    """<m|sigma_b|n> = e^{-t^2} t^{m+n}/sqrt(m! n!) e^{i pi b (m-n)/M} on the
+    """<m|sigma_b|n> = e^{-t^2} t^{m+n}/sqrt(m! n!) (-1)^{b (m-n)/M} on the
     stride-M off-diagonals (m = n mod M), exactly zero elsewhere."""
-    t, M, N = params.t, params.M, params.cutoff
-    n = np.arange(N + 1)
-    if t == 0.0:
-        mat = np.zeros((N + 1, N + 1), dtype=complex)
-        mat[0, 0] = 1.0
-        return mat
-    log_amp = -t * t / 2.0 + n * math.log(t) - 0.5 * gammaln(n + 1)
-    radial = np.exp(log_amp[:, None] + log_amp[None, :])
-    diff = n[:, None] - n[None, :]
-    phase = np.exp(1j * math.pi * b * diff / M)
-    mask = (diff % M) == 0
-    mat = np.where(mask, radial * phase, 0.0 + 0.0j)
-    return mat
+    half = _log_poisson_weights(params.energy, params.cutoff) / 2.0
+    signs = _signs(b, params)
+    r = np.arange(params.cutoff + 1) % params.M
+    return np.where(r[:, None] == r, np.outer(signs, signs) * np.exp(half[:, None] + half), 0.0)
 
 
 def build_sigma(b: int, params: CodeParams) -> FockOperator:
@@ -139,23 +151,12 @@ def build_D(params: CodeParams) -> FockOperator:
 def eigen_sigma(b: int, params: CodeParams) -> EigenSystem:
     """Eigendecomposition of sigma_b over photon-number residue classes.
 
-    vectors[r] has amplitude e^{-t^2/2} t^{r+jM} e^{i pi b j}/sqrt((r+jM)!)
+    vectors[r] has amplitude e^{-t^2/2} t^{r+jM} (-1)^{b j}/sqrt((r+jM)!)
     at photon number r + jM; its squared norm is the eigenvalue.
     """
     _check_bit(b)
-    t, M, N = params.t, params.M, params.cutoff
-    vectors = []
-    values = np.zeros(M)
-    for r in range(M):
-        amps = np.zeros(N + 1, dtype=complex)
-        ns = np.arange(r, N + 1, M)
-        if t == 0.0:
-            if r == 0:
-                amps[0] = 1.0
-        else:
-            js = (ns - r) // M
-            log_amp = -t * t / 2.0 + ns * math.log(t) - 0.5 * gammaln(ns + 1)
-            amps[ns] = np.exp(log_amp) * np.exp(1j * math.pi * b * js)
-        values[r] = float(np.vdot(amps, amps).real)
-        vectors.append(FockVector(N, amps))
-    return EigenSystem(b, tuple(vectors), values)
+    M, N = params.M, params.cutoff
+    amps = _amplitudes(b, params)
+    per_class = np.where(np.arange(N + 1) % M == np.arange(M)[:, None], amps, 0.0)
+    values = (_by_class(amps, M) ** 2).sum(axis=1)
+    return EigenSystem(b, tuple(FockVector(N, v) for v in per_class), values)

@@ -9,11 +9,12 @@ function of its inputs; stochastic operations take an explicit seeded
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc, gammaln, xlogy
 
 # Numeric tolerances: double precision headroom over truncation error.
 HERMITICITY_TOL = 1e-12
@@ -138,24 +139,23 @@ def density_cutoff(energy: float) -> int:
     return cutoff_for_energy(energy, 1e-12) + math.ceil(6.0 * math.sqrt(energy)) + 10
 
 
+def _log_poisson_weights(energy: float, cutoff: int) -> np.ndarray:
+    """log(e^-E E^n / n!) for n = 0..cutoff, -inf where the weight is 0: every
+    photon-number weight is exp of it and every coherent amplitude exp of half."""
+    n = np.arange(cutoff + 1)
+    return -energy + xlogy(n, energy) - gammaln(n + 1)
+
+
 def coherent_vector(alpha: complex, cutoff: int) -> FockVector:
     """Coherent state |alpha> truncated at the given photon number."""
     alpha = complex(alpha)
-    amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(1, cutoff + 1):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    return FockVector(cutoff, amps)
+    radial = np.exp(_log_poisson_weights(abs(alpha) ** 2, cutoff) / 2.0)
+    return FockVector(cutoff, radial * np.exp(1j * cmath.phase(alpha) * np.arange(cutoff + 1)))
 
 
 def poisson_weights(energy: float, cutoff: int) -> np.ndarray:
     """Photon number distribution e^-E E^n / n! for n = 0..cutoff."""
-    if energy == 0.0:
-        w = np.zeros(cutoff + 1)
-        w[0] = 1.0
-        return w
-    n = np.arange(cutoff + 1)
-    return np.exp(-energy + n * math.log(energy) - gammaln(n + 1))
+    return np.exp(_log_poisson_weights(energy, cutoff))
 
 
 def overlap_prob(alpha: complex, beta: complex) -> float:

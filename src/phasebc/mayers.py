@@ -27,8 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codestates import CodeParams, EigenSystem, code_amplitude, eigen_sigma
-from .fock import FockOperator, FockVector, coherent_vector
+from .codestates import CodeParams, EigenSystem, _amplitudes, _signs, eigen_sigma
+from .fock import FockOperator, FockVector
 
 LAMBDA_FLOOR = 1e-14
 KIT_T_LIMIT = 2.0
@@ -65,8 +65,14 @@ class MayersKit:
         return vec.amps.reshape(d, d)
 
 
-def _active_sectors(eigen: EigenSystem, floor: float) -> np.ndarray:
-    return np.flatnonzero(eigen.values > floor)
+def _sectors(b: int, params: CodeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sigma_b's eigenvalues lambda_r; its normalized eigenvectors
+    phi_{r,b}/sqrt(lambda_r) in one vector, zero on sectors at or below the
+    floor; and the class r = n mod M of each photon number n."""
+    values = eigen_sigma(b, params).values
+    r = np.arange(params.cutoff + 1) % params.M
+    kept = np.where(values > LAMBDA_FLOOR, values, np.inf)
+    return values, _amplitudes(b, params) / np.sqrt(kept)[r], r
 
 
 def build_purification(b: int, params: CodeParams,
@@ -77,19 +83,16 @@ def build_purification(b: int, params: CodeParams,
     floor, unless drop_below_floor is set, in which case that sector is
     omitted (the vector then carries slightly less than unit norm).
     """
-    eigen = eigen_sigma(b, params)
-    low = eigen.values <= LAMBDA_FLOOR
+    values, unit, r = _sectors(b, params)
+    low = values <= LAMBDA_FLOOR
     if low.any() and not drop_below_floor:
         r = int(np.argmax(low))
         raise DegenerateEigenvalue(
-            f"lambda_{r} = {eigen.values[r]:.3e} at or below floor {LAMBDA_FLOOR}"
+            f"lambda_{r} = {values[r]:.3e} at or below floor {LAMBDA_FLOOR}"
         )
-    d = params.cutoff + 1
-    psi = np.zeros((d, d), dtype=complex)
-    for r in _active_sectors(eigen, LAMBDA_FLOOR):
-        v = eigen.vectors[r].amps
-        psi += np.outer(v, v) / math.sqrt(eigen.values[r])
-    return FockVector(d * d - 1, psi.reshape(-1))
+    # lambda^{-1/2} phi phi^T is lambda^{1/2} times the normalized outer product
+    psi = np.where(r[:, None] == r, np.outer(unit, unit * np.sqrt(values)[r]), 0.0)
+    return FockVector(psi.size - 1, psi.reshape(-1))
 
 
 def build_U(params: CodeParams) -> FockOperator:
@@ -97,16 +100,12 @@ def build_U(params: CodeParams) -> FockOperator:
 
     Maps each normalized b=0 eigenvector onto its b=1 counterpart, hence
     conjugates sigma_0 into sigma_1 and sends one purification to the other
-    when applied to both factors.
+    when applied to both factors.  On class r the sector phase e^{-i pi r/M}
+    and the rotation e^{i pi n/M} combine to (-1)^j at n = r + jM.
     """
-    eigen1 = eigen_sigma(1, params)
-    d = params.cutoff + 1
-    rotation = np.exp(1j * math.pi * np.arange(d) / params.M)
-    U = np.zeros((d, d), dtype=complex)
-    for r in _active_sectors(eigen1, LAMBDA_FLOOR):
-        v = eigen1.normalized_vector(r)
-        U += np.exp(-1j * math.pi * r / params.M) * np.outer(v, v.conj())
-    return FockOperator(params.cutoff, U * rotation[None, :])
+    _, unit, r = _sectors(1, params)
+    U = np.where(r[:, None] == r, np.outer(unit, unit * _signs(1, params)), 0.0)
+    return FockOperator(params.cutoff, U)
 
 
 def _povm_vectors(params: CodeParams) -> tuple[np.ndarray, np.ndarray]:
@@ -117,16 +116,10 @@ def _povm_vectors(params: CodeParams) -> tuple[np.ndarray, np.ndarray]:
     the half-step rotation (see the module docstring for why not the full
     switching unitary).
     """
-    eigen0 = eigen_sigma(0, params)
-    sectors = _active_sectors(eigen0, LAMBDA_FLOOR)
-    d = params.cutoff + 1
-    basis = np.stack([eigen0.normalized_vector(r) for r in sectors], axis=1)
-    rot = np.exp(1j * math.pi * np.arange(d) / params.M)
-    chi0 = np.empty((params.M, d), dtype=complex)
-    for m in range(params.M):
-        coeff = np.exp(2j * math.pi * m * sectors / params.M) / math.sqrt(params.M)
-        chi0[m] = basis @ coeff
-    chi1 = rot * chi0
+    _, unit, r = _sectors(0, params)
+    chi0 = np.exp(2j * math.pi * np.outer(np.arange(params.M), r) / params.M) * unit
+    chi0 /= math.sqrt(params.M)
+    chi1 = np.exp(1j * math.pi * np.arange(params.cutoff + 1) / params.M) * chi0
     # the kit is cached and shared between callers
     chi0.setflags(write=False)
     chi1.setflags(write=False)
@@ -223,10 +216,9 @@ def conditional_bob_state(m: int, b: int, params: CodeParams) -> tuple[float, in
     if nrm == 0.0:
         raise ValueError("conditional state has zero mass")
     cond = cond / nrm
-    codes = np.stack([
-        coherent_vector(code_amplitude(mp, b, params.t, params.M), params.cutoff).amps
-        for mp in range(params.M)
-    ])
+    # the M code states share one radial profile and differ in phase only
+    theta = 2.0 * math.pi * (np.arange(params.M) + b / 2.0) / params.M
+    codes = _amplitudes(0, params) * np.exp(1j * np.outer(theta, np.arange(params.cutoff + 1)))
     fids = np.abs(codes.conj() @ cond) ** 2
     return float(fids.max()), int(fids.argmax())
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codestates import _by_class
 from .fock import density_cutoff, poisson_weights
 
 
@@ -72,13 +73,9 @@ def _secular_trace_norm(weights: np.ndarray, M: int) -> float:
     Classes with fewer than two nonzero weights contribute 0; weights that
     underflow to exact zeros drop out of the sums.
     """
-    n = weights.size
-    if M >= n:  # every class holds at most one weight
+    if M >= weights.size:  # every class holds at most one weight
         return 0.0
-    rows = -(-n // M)
-    w = np.zeros(rows * M)
-    w[:n] = weights
-    w = w.reshape(rows, M).T              # row r holds the class r mod M
+    w = _by_class(weights, M)
     w = w[np.count_nonzero(w, axis=1) >= 2]
     # Weights are at most 1, so u_i = w_i / w_p cannot underflow to zero.
     index = np.arange(w.shape[0])

@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from . import protocol as proto
-from .codestates import CodeParams, eigen_sigma
+from .codestates import CodeParams, _amplitudes, _by_class
 from .fock import coherent_vector
 
 KINDS = ("HELLO", "COMMIT", "OPEN", "VERDICT", "ABORT")
@@ -262,17 +262,17 @@ class HelstromBob(BobStrategy):
     name = "helstrom"
 
     def __init__(self, code_params: CodeParams):
-        odd = (np.arange(code_params.cutoff + 1) // code_params.M) % 2 == 1
-        plus = []
-        for v in eigen_sigma(0, code_params).vectors:
-            even_part, odd_part = np.where(odd, 0.0, v.amps), np.where(odd, v.amps, 0.0)
-            norms = np.linalg.norm(even_part), np.linalg.norm(odd_part)
-            if min(norms) > 0.0:
-                plus.append((even_part / norms[0] + odd_part / norms[1]) / math.sqrt(2.0))
-        # the reshape keeps two axes when no class has both parts (E = 0)
-        plus = np.array(plus).reshape(len(plus), code_params.cutoff + 1)
-        self._projector = plus.T @ plus.conj()
-        self._cutoff = code_params.cutoff
+        M, N = code_params.M, code_params.cutoff
+        n = np.arange(N + 1)
+        r = n % M
+        amps = _amplitudes(0, code_params)
+        parts = _by_class(amps, M)
+        norms = np.stack([np.linalg.norm(parts[:, 0::2], axis=1),   # |e_r|
+                          np.linalg.norm(parts[:, 1::2], axis=1)])  # |o_r|
+        both = norms.min(axis=0)[r] > 0.0
+        u = amps / (math.sqrt(2.0) * np.where(both, norms[n // M % 2, r], np.inf))
+        self._projector = np.where(r[:, None] == r, np.outer(u, u), 0.0)
+        self._cutoff = N
         self._p_zero: dict[bytes, float] = {}
         self._p_zero_cap = 8 * code_params.M
         self.guesses: list[int] = []

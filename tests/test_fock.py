@@ -94,6 +94,14 @@ class TestCoherentVector:
         v = coherent_vector(math.sqrt(2.0), n)
         assert 1.0 - v.norm() ** 2 < 1e-10
 
+    def test_large_amplitude_does_not_underflow(self):
+        # e^{-|alpha|^2/2} alone underflows to 0 beyond |alpha|^2 of about 1490
+        alpha = 45.0 * np.exp(0.3j)
+        v = coherent_vector(alpha, cutoff_for_energy(45.0 ** 2, 1e-12))
+        assert abs(v.norm() ** 2 - 1.0) < 1e-10
+        n = int(np.argmax(np.abs(v.amps)))
+        assert abs(v.amps[n + 1] / v.amps[n] - alpha / math.sqrt(n + 1)) < 1e-12
+
 
 class TestOverlapProb:
     def test_identical(self):
