@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,13 @@ def test_import_leaves_out_lazy_modules():
 
 
 class TestBounds:
+    def test_no_tail_warning_at_large_energy(self, capsys):
+        # rounding in the Poisson weights once read here as a 5.5e-10 tail
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["bounds", "-E", "1e6"]) == 1
+        assert "trace_norm_numeric" in capsys.readouterr().out
+
     def test_beyond_double_range(self, capsys):
         # the dense eigensolve at this cutoff (11,321) needs about 2 GB
         tracemalloc.start()

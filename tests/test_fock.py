@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gammainc, gammaln
@@ -101,6 +102,28 @@ class TestCoherentVector:
         assert abs(v.norm() ** 2 - 1.0) < 1e-10
         n = int(np.argmax(np.abs(v.amps)))
         assert abs(v.amps[n + 1] / v.amps[n] - alpha / math.sqrt(n + 1)) < 1e-12
+
+
+class TestPoissonWeights:
+    @pytest.mark.parametrize("energy", [0.0, 1.0, 576.0, 1e4, 1e6, 4.1e6])
+    def test_match_mpmath(self, energy):
+        # Rounding the log weight l alone costs |l| eps relative; the direct
+        # -E + n log E - log n! was off by 2.6e-9 relative at E = 1e6.
+        cutoff = fock.density_cutoff(energy)
+        w = fock.poisson_weights(energy, cutoff)
+        ns = np.unique(np.concatenate([
+            np.linspace(0, cutoff, 200).astype(int),
+            np.arange(max(0, int(energy) - 40), min(cutoff, int(energy) + 40) + 1)]))
+        with mp.workdps(40):
+            for n in ns.tolist():
+                if energy == 0.0:
+                    assert w[n] == float(n == 0)
+                    continue
+                log_ref = n * mp.log(energy) - energy - mp.loggamma(n + 1)
+                if log_ref < math.log(1e-300):
+                    continue
+                rel = abs(float(mp.mpf(float(w[n])) / mp.exp(log_ref) - 1))
+                assert rel <= 4 * np.finfo(float).eps * (1 - float(log_ref)), (n, rel)
 
 
 class TestOverlapProb:
