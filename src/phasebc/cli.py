@@ -84,6 +84,9 @@ _REPORT_ENERGY = _energy_types(
     lambda e: 0.0 <= e <= _MAX_CUTOFF and density_cutoff(e) <= _MAX_CUTOFF,
     f">= 0 with a density cutoff of at most {_MAX_CUTOFF}")
 # a subnormal E carries fewer than 53 significant bits
+# pcb_bound multiplies k into a double
+_REPORT_MODES = _checked(int, lambda v: 1 <= v <= sys.float_info.max,
+                         "an integer >= 1 within the double range")
 _PLAN_ENERGY = _energy_types(lambda e: sys.float_info.min <= e < math.inf,
                              f"finite and >= {sys.float_info.min!r}")
 # the Mayers kit is built only up to these limits
@@ -95,14 +98,17 @@ _KIT_ORDER = _checked(int, lambda v: 2 <= v <= KIT_M_LIMIT,
 # small sizes scaled linearly: a simulate run keeps about 580 bytes per mode
 # (k = 5,000 to 80,000, transcript and report written; a TCP session keeps
 # less), a wigner run about 185 bytes per grid point (points = 101 to 601,
-# CSV text included)
+# CSV text included) and 130 bytes per mixture point (M = 20,000 to 80,000)
 _BUDGET = 250 * 10 ** 6
 _MAX_MODES = _BUDGET // 580
 _MAX_POINTS = math.isqrt(_BUDGET // 185)
+_MAX_MIXTURE = _BUDGET // 130
 _SESSION_MODES = _checked(int, lambda v: 1 <= v <= _MAX_MODES,
                           f"an integer in 1..{_MAX_MODES}")
 _GRID_POINTS = _checked(int, lambda v: 2 <= v <= _MAX_POINTS,
                         f"an integer in 2..{_MAX_POINTS}")
+_MIXTURE_ORDER = _checked(int, lambda v: 2 <= v <= _MAX_MIXTURE,
+                          f"an integer in 2..{_MAX_MIXTURE}")
 _PORT = _checked(int, lambda v: 1 <= v <= 65535, "a port in 1..65535")
 _ADDRESS = _checked(_host_port, lambda v: v[0] and 1 <= v[1] <= 65535, "HOST:PORT")
 
@@ -156,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="security report for one point")
     _add_options(p_bounds, "-M", "-k", "--epsilon", "--out", "--format",
-                 energy=_REPORT_ENERGY)
+                 energy=_REPORT_ENERGY, modes=_REPORT_MODES)
 
     p_plan = sub.add_parser("plan", help="smallest (M, k) for a target epsilon")
     _add_options(p_plan, "--epsilon", "--out", "--format", energy=_PLAN_ENERGY)
@@ -167,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
                  order=_KIT_ORDER)
 
     p_wigner = sub.add_parser("wigner", help="phase-space grid CSV for sigma_b")
-    _add_options(p_wigner, "-M", "--out")
+    _add_options(p_wigner, "-M", "--out", order=_MIXTURE_ORDER)
     p_wigner.add_argument("-b", "--bit", type=int, choices=(0, 1), default=0)
     p_wigner.add_argument("--halfwidth", type=_POSITIVE, default=None)
     p_wigner.add_argument("--points", type=_GRID_POINTS, default=201)

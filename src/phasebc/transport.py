@@ -527,7 +527,7 @@ def _drive(session: _Endpoint, sock: socket.socket) -> list[WireMessage]:
     """
     sock.settimeout(30.0)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    limit = 4096 + 64 * session.params.k
+    limit = _line_limit(session)
     log: list[WireMessage] = []
     with sock.makefile("rb") as rfile:
         outgoing = session.start()
@@ -552,10 +552,28 @@ def _drive(session: _Endpoint, sock: socket.socket) -> list[WireMessage]:
             outgoing = session.handle(msg)
 
 
+def _line_limit(session: _Endpoint) -> int:
+    return 4096 + 64 * session.params.k
+
+
 def _accept(server: socket.socket, session: _Endpoint) -> list[WireMessage]:
+    """Run the receiver on one accepted connection, then wait for the peer to close.
+
+    The side that closes first holds the connection in TIME_WAIT for 60 s
+    (RFC 793).  Reading to the peer's EOF first puts that state on the
+    connecting side's ephemeral port, not on the listening port.  The read
+    stops after one line limit of bytes, at the 30 s timeout or on a reset.
+    """
     conn, _ = server.accept()
     with conn:
-        return _drive(session, conn)
+        log = _drive(session, conn)
+        left = _line_limit(session)
+        try:
+            while left > 0 and (data := conn.recv(left)):
+                left -= len(data)
+        except (TimeoutError, ConnectionError):
+            pass
+        return log
 
 
 def _connect(host: str, port: int, session: _Endpoint) -> list[WireMessage]:

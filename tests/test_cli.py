@@ -136,6 +136,9 @@ class TestUsageErrors:
         # one past the allocation caps
         ["simulate", "-k", str(cli._MAX_MODES + 1)],
         ["wigner", "--points", str(cli._MAX_POINTS + 1)],
+        ["wigner", "-M", str(cli._MAX_MIXTURE + 1)],
+        # k beyond the double range, which pcb_bound multiplies into a float
+        pytest.param(["bounds", "-k", str(10 ** 309)], id="bounds -k 10**309"),
     ], ids=" ".join)
     def test_exit_two(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -170,7 +173,8 @@ class TestAllocationCaps:
     @pytest.mark.parametrize("command, option, cap", [
         ("simulate", "-k", cli._MAX_MODES),
         ("wigner", "--points", cli._MAX_POINTS),
-    ], ids=["simulate -k", "wigner --points"])
+        ("wigner", "-M", cli._MAX_MIXTURE),
+    ], ids=["simulate -k", "wigner --points", "wigner -M"])
     def test_cap_checked_at_parse_time(self, command, option, cap, capsys):
         # parse_args alone: no command body runs at the cap
         parser = cli.build_parser()
@@ -185,7 +189,8 @@ class TestAllocationCaps:
         (["simulate", "--strategy", "cheat-open", "-k", "5000", "-n", "2",
           "--format", "structured"], 5000, cli._MAX_MODES),
         (["wigner", "--points", "101"], 101 ** 2, cli._MAX_POINTS ** 2),
-    ], ids=["simulate -k", "wigner --points"])
+        (["wigner", "--points", "2", "-M", "20000"], 20000, cli._MAX_MIXTURE),
+    ], ids=["simulate -k", "wigner --points", "wigner -M"])
     def test_cap_keeps_budget(self, argv, size, cap, tmp_path):
         # the traced peak at a small size, scaled to the cap, stays near the budget
         argv = argv + ["--out", str(tmp_path / "out")]

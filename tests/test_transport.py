@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import math
+import os
 import socket
 import threading
 import time
@@ -167,6 +168,35 @@ class TestSessions:
                            seed=1, transport="tcp")
         assert t.to_bytes() == t.to_bytes()
         assert formatted == {"HELLO": 3, "COMMIT": 1, "OPEN": 1, "VERDICT": 2}
+
+    @pytest.mark.skipif(not os.path.exists("/proc/net/tcp"),
+                        reason="reads Linux's TCP socket table")
+    def test_tcp_time_wait_stays_off_the_listening_port(self, monkeypatch):
+        # the side that closes first keeps the connection in TIME_WAIT for
+        # 60 s; on the listener's side that was one such socket per session
+        drive = tp._drive
+        ports = {}
+
+        def recording_drive(session, sock):
+            ports[type(session).__name__] = sock.getsockname()[1]
+            return drive(session, sock)
+
+        monkeypatch.setattr(tp, "_drive", recording_drive)
+        tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), make_params(),
+                       seed=1, transport="tcp")
+        pair = {ports["AliceSession"], ports["BobSession"]}
+        deadline = time.monotonic() + 5.0
+        while True:
+            with open("/proc/net/tcp") as fh:
+                rows = [line.split() for line in fh.readlines()[1:]]
+            local = [(int(r[1].split(":")[1], 16), int(r[2].split(":")[1], 16), r[3])
+                     for r in rows]
+            time_wait = {lp for lp, rp, state in local
+                         if state == "06" and {lp, rp} == pair}
+            if time_wait or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        assert time_wait == {ports["AliceSession"]}
 
     def test_replay_byte_identical(self):
         a = tp.run_session(proto.CheatOpenAlice(0), tp.BobStrategy(), make_params(),
