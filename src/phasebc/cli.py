@@ -83,10 +83,10 @@ _MAX_CUTOFF = 2 ** 22
 _REPORT_ENERGY = _energy_types(
     lambda e: 0.0 <= e <= _MAX_CUTOFF and density_cutoff(e) <= _MAX_CUTOFF,
     f">= 0 with a density cutoff of at most {_MAX_CUTOFF}")
-# a subnormal E carries fewer than 53 significant bits
 # pcb_bound multiplies k into a double
 _REPORT_MODES = _checked(int, lambda v: 1 <= v <= sys.float_info.max,
                          "an integer >= 1 within the double range")
+# a subnormal E carries fewer than 53 significant bits
 _PLAN_ENERGY = _energy_types(lambda e: sys.float_info.min <= e < math.inf,
                              f"finite and >= {sys.float_info.min!r}")
 # the Mayers kit is built only up to these limits

@@ -86,9 +86,9 @@ def build_purification(b: int, params: CodeParams,
     values, unit, r = _sectors(b, params)
     low = values <= LAMBDA_FLOOR
     if low.any() and not drop_below_floor:
-        r = int(np.argmax(low))
+        first = int(np.argmax(low))
         raise DegenerateEigenvalue(
-            f"lambda_{r} = {values[r]:.3e} at or below floor {LAMBDA_FLOOR}"
+            f"lambda_{first} = {values[first]:.3e} at or below floor {LAMBDA_FLOOR}"
         )
     # lambda^{-1/2} phi phi^T is lambda^{1/2} times the normalized outer product
     psi = np.where(r[:, None] == r, np.outer(unit, unit * np.sqrt(values)[r]), 0.0)
