@@ -1,0 +1,113 @@
+"""Golden CLI outputs: each command's exit code and stdout, pinned.
+
+A change that is meant to keep the program's output must leave these
+unchanged.  Most commands are pinned by the sha256 of their stdout; the
+mayers reports come from dense eigensolvers whose last bits depend on the
+BLAS, so their parsed fields are compared instead: maps and flags exactly,
+floats within 1e-12.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from phasebc import cli
+
+DIGESTS = {
+    "bounds -t 1":
+        (1, "9fcd66717d3f048cb9372124370451209716e12a30a5d15f319120dc2ca13808"),
+    "bounds -t 0":
+        (1, "53f8f706dc6af488949a890a129bd0b82e45745e9bd7dfff6b56bfdf1e79607f"),
+    "bounds -t 0 --format structured":
+        (1, "613f88f9f5886b19429339723505de378029853f3be38e2ea63cb53fa231e9ef"),
+    "bounds -t 24 -M 16 --format structured":
+        (1, "9352c607d28c45d8387c25886b484db508aa2dee0aa302df9511fd7ec0a7046b"),
+    "bounds -t 100 -M 512 --format structured":
+        (1, "74f119c10bbb890f639270725adddff9c0e03793990d45d3e01444ac852dc6ff"),
+    "plan --epsilon 1e-2 -t 1 --format structured":
+        (0, "4f244cc6034c36701a385d0dbb4dedd06e3c3741db534f70134b9c68c5bacdc9"),
+    # the dense-reports benchmark checks the same digest
+    "wigner -t 1 -M 6":
+        (0, "c97a9a4f5c56679dd7b85e4e18f34af13bd0b612128b7bef7bb122e9b86f87f7"),
+    "simulate -E 1 -M 20 -k 1843 -n 3 --seed 5 --format structured":
+        (0, "c3fe2930842f94cf5302ea580498cbabd91499b245dfa10a46488c28acd58c6f"),
+    "simulate --strategy cheat-open -E 1 -M 4 -k 10 -n 50 --seed 9":
+        (0, "15f531480f5b15caeceead89dbb396c823d40c416a5567569289c3aeec759c11"),
+}
+
+MAYERS_REPORTS = {
+    "mayers -t 1 -M 4": (
+        '{"t":1,"M":4,"cutoff":30,"discarded_mass":0.0,"norm_0":1,'
+        '"marginal_a_residual_0":2.3118551797548304e-16,'
+        '"marginal_b_residual_0":2.3118586710991762e-16,'
+        '"povm_completeness_residual_0":0.0,'
+        '"outcome_probs_0":[0.24999999999999997,0.24999999999999997,'
+        '0.24999999999999997,0.24999999999999997],'
+        '"outcome_remainder_0":-1.9216798078399895e-17,"steering_min_fidelity_0":1,'
+        '"steering_map_0":[0,3,2,1],"steering_bijective_0":true,"norm_1":1,'
+        '"marginal_a_residual_1":2.3118551797548304e-16,'
+        '"marginal_b_residual_1":2.3118586710991762e-16,'
+        '"povm_completeness_residual_1":0.0,'
+        '"outcome_probs_1":[0.24999999999999997,0.24999999999999997,'
+        '0.24999999999999997,0.25],'
+        '"outcome_remainder_1":2.7411371475806693e-17,"steering_min_fidelity_1":1,'
+        '"steering_map_1":[3,2,1,0],"steering_bijective_1":true,'
+        '"switch_fidelity_one_sided":0.96204418297785732,'
+        '"switch_fidelity_two_sided":0.99999999999999978}'),
+    "mayers -t 2 -M 8": (
+        '{"t":2,"M":8,"cutoff":47,"discarded_mass":0.0,"norm_0":0.99999999999999989,'
+        '"marginal_a_residual_0":1.5459615553237544e-16,'
+        '"marginal_b_residual_0":1.5046514109122352e-16,'
+        '"povm_completeness_residual_0":0.0,'
+        '"outcome_probs_0":[0.12499999999999994,0.12499999999999994,'
+        '0.12499999999999994,0.12499999999999994,0.12499999999999994,'
+        '0.12499999999999994,0.12499999999999994,0.12499999999999994],'
+        '"outcome_remainder_0":1.8792850477283912e-16,'
+        '"steering_min_fidelity_0":0.99999999999999956,'
+        '"steering_map_0":[0,7,6,5,4,3,2,1],"steering_bijective_0":true,'
+        '"norm_1":0.99999999999999989,'
+        '"marginal_a_residual_1":1.5459615553237544e-16,'
+        '"marginal_b_residual_1":1.5046514109122352e-16,'
+        '"povm_completeness_residual_1":0.0,'
+        '"outcome_probs_1":[0.12499999999999994,0.12499999999999994,'
+        '0.12499999999999994,0.12499999999999994,0.12499999999999994,'
+        '0.12499999999999994,0.12499999999999994,0.12499999999999994],'
+        '"outcome_remainder_1":1.886874557519173e-16,'
+        '"steering_min_fidelity_1":0.99999999999999933,'
+        '"steering_map_1":[7,6,5,4,3,2,1,0],"steering_bijective_1":true,'
+        '"switch_fidelity_one_sided":0.89774255361598798,'
+        '"switch_fidelity_two_sided":0.99999999999999989}'),
+}
+
+
+def run(command, capsys):
+    code = cli.main(command.split())
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", DIGESTS)
+def test_stdout_digest(command, capsys):
+    code, out = run(command, capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == DIGESTS[command]
+
+
+# the grid order, cutoff, steering maps and flags; every other field is a float
+EXACT = ("M", "cutoff", "steering_map_0", "steering_map_1",
+         "steering_bijective_0", "steering_bijective_1")
+
+
+@pytest.mark.parametrize("command", MAYERS_REPORTS)
+def test_mayers_report(command, capsys):
+    code, out = run(command + " --format structured", capsys)
+    assert code == 0
+    report = json.loads(out)
+    expected = json.loads(MAYERS_REPORTS[command])
+    assert list(report) == list(expected)
+    for key, value in expected.items():
+        if key in EXACT:
+            assert json.dumps(report[key]) == json.dumps(value), key
+        else:
+            np.testing.assert_allclose(report[key], value, rtol=0.0, atol=1e-12,
+                                       err_msg=key)
