@@ -73,12 +73,23 @@ def _check_bit(b: int) -> int:
     return int(b)
 
 
-def code_phase(m: int, b: int, M: int) -> float:
-    """Phase angle 2*pi*(m + b/2)/M of the code amplitude."""
-    _check_bit(b)
-    if not 0 <= m < M:
-        raise ValueError(f"phase index {m} outside [0, {M})")
+def code_phases(m, b: int, M: int) -> np.ndarray:
+    """Phase angles 2*pi*(m + b/2)/M of the code amplitudes, elementwise over
+    integer indices m in [0, M): a float, bool or string index raises
+    ValueError instead of being truncated."""
+    m = np.asarray(m)
+    if not np.issubdtype(m.dtype, np.integer):
+        raise ValueError(f"phase indices need an integer dtype, got {m.dtype}")
+    b = _check_bit(b)
+    outside = (m < 0) | (m >= M)
+    if outside.any():
+        raise ValueError(f"phase index {m[outside][0]} outside [0, {M})")
     return 2.0 * math.pi * (m + b / 2.0) / M
+
+
+def code_phase(m: int, b: int, M: int) -> float:
+    """Phase angle of one code amplitude; see code_phases."""
+    return float(code_phases(m, b, M))
 
 
 def code_amplitude(m: int, b: int, t: float, M: int) -> complex:
@@ -128,7 +139,6 @@ def build_sigma(b: int, params: CodeParams) -> FockOperator:
 
 def build_sigma_mixture(b: int, params: CodeParams) -> FockOperator:
     """Same state built the defining way: uniform mixture of the M code states."""
-    _check_bit(b)
     d = params.cutoff + 1
     acc = np.zeros((d, d), dtype=complex)
     for m in range(params.M):

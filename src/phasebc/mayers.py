@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codestates import CodeParams, EigenSystem, _amplitudes, _signs, eigen_sigma
+from .codestates import CodeParams, _amplitudes, _by_class, _signs, code_phases
 from .fock import FockOperator, FockVector
 
 LAMBDA_FLOOR = 1e-14
@@ -44,8 +44,6 @@ class MayersKit:
     """Everything needed to run and verify the delayed-choice attack."""
 
     params: CodeParams
-    eigen0: EigenSystem
-    eigen1: EigenSystem
     purification0: FockVector     # (N+1)^2 amplitudes, A factor major
     purification1: FockVector
     U: FockOperator               # switching unitary on the truncated space
@@ -69,10 +67,11 @@ def _sectors(b: int, params: CodeParams) -> tuple[np.ndarray, np.ndarray, np.nda
     """sigma_b's eigenvalues lambda_r; its normalized eigenvectors
     phi_{r,b}/sqrt(lambda_r) in one vector, zero on sectors at or below the
     floor; and the class r = n mod M of each photon number n."""
-    values = eigen_sigma(b, params).values
+    amps = _amplitudes(b, params)
+    values = (_by_class(amps, params.M) ** 2).sum(axis=1)
     r = np.arange(params.cutoff + 1) % params.M
     kept = np.where(values > LAMBDA_FLOOR, values, np.inf)
-    return values, _amplitudes(b, params) / np.sqrt(kept)[r], r
+    return values, amps / np.sqrt(kept)[r], r
 
 
 def build_purification(b: int, params: CodeParams,
@@ -151,14 +150,10 @@ def build_kit(params: CodeParams) -> MayersKit:
             f"kit restricted to t <= {KIT_T_LIMIT}, M <= {KIT_M_LIMIT} "
             f"(got t={params.t}, M={params.M})"
         )
-    eigen0 = eigen_sigma(0, params)
-    eigen1 = eigen_sigma(1, params)
-    discarded = float(eigen0.values[eigen0.values <= LAMBDA_FLOOR].sum())
+    values = _sectors(0, params)[0]
     chi0, chi1 = _povm_vectors(params)
     return MayersKit(
         params=params,
-        eigen0=eigen0,
-        eigen1=eigen1,
         purification0=build_purification(0, params, drop_below_floor=True),
         purification1=build_purification(1, params, drop_below_floor=True),
         U=build_U(params),
@@ -166,7 +161,7 @@ def build_kit(params: CodeParams) -> MayersKit:
         povm1=_projectors(chi1, params.cutoff),
         chi0=chi0,
         chi1=chi1,
-        discarded_mass=discarded,
+        discarded_mass=float(values[values <= LAMBDA_FLOOR].sum()),
     )
 
 
@@ -217,7 +212,7 @@ def conditional_bob_state(m: int, b: int, params: CodeParams) -> tuple[float, in
         raise ValueError("conditional state has zero mass")
     cond = cond / nrm
     # the M code states share one radial profile and differ in phase only
-    theta = 2.0 * math.pi * (np.arange(params.M) + b / 2.0) / params.M
+    theta = code_phases(np.arange(params.M), b, params.M)
     codes = _amplitudes(0, params) * np.exp(1j * np.outer(theta, np.arange(params.cutoff + 1)))
     fids = np.abs(codes.conj() @ cond) ** 2
     return float(fids.max()), int(fids.argmax())

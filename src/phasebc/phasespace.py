@@ -8,13 +8,14 @@ Gaussian reach.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from .codestates import CodeParams, code_amplitude
+from .codestates import CodeParams, code_phases
 from .fock import FockVector
 
 
@@ -93,7 +94,8 @@ def wigner_mixture(points: list[tuple[float, complex]], grid: GridSpec) -> Wigne
 
 def code_state_points(b: int, params: CodeParams) -> list[tuple[float, complex]]:
     w = 1.0 / params.M
-    return [(w, code_amplitude(m, b, params.t, params.M)) for m in range(params.M)]
+    phases = code_phases(np.arange(params.M), b, params.M)
+    return [(w, params.t * cmath.exp(1j * phase)) for phase in phases]
 
 
 def wigner_sigma(b: int, params: CodeParams, grid: GridSpec | None = None) -> WignerGrid:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codestates import _check_bit, code_phases
 
 # NumPy's Poisson sampler rejects a rate above int64 max - 10 sqrt(int64 max);
 # the relative 1e-9 covers the rounding (a few ulps) by which a count's
@@ -69,8 +70,7 @@ class Commitment:
     m: tuple[int, ...]
 
     def __post_init__(self):
-        if self.b not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {self.b}")
+        _check_bit(self.b)
         object.__setattr__(self, "m", tuple(map(int, self.m)))
 
 
@@ -142,25 +142,16 @@ def commit(b: int, params: ProtocolParams,
     """
     m = rng.integers(0, params.M, size=params.k)
     amp = math.sqrt(params.energy / params.tau)
-    phases = 2.0 * math.pi * (m + b / 2.0) / params.M
-    payload = QuantumPayload(amp * np.exp(1j * phases))
+    payload = QuantumPayload(amp * np.exp(1j * code_phases(m, b, params.M)))
     return Commitment(b, tuple(m.tolist())), payload
 
 
 def expected_amplitudes(revealed_b: int, revealed_m, params: ProtocolParams) -> np.ndarray:
     """t exp(i code_phase(m_j, b, M)) for every m_j, bit for bit, in one array pass.
 
-    A bad bit or phase index raises code_phase's ValueError.
+    A bad bit or phase index raises code_phases' ValueError.
     """
-    m = np.asarray(revealed_m, dtype=np.int64)
-    if revealed_b not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {revealed_b}")
-    outside = (m < 0) | (m >= params.M)
-    if outside.any():
-        first = int(m[outside.argmax()])
-        raise ValueError(f"phase index {first} outside [0, {params.M})")
-    phases = 2.0 * math.pi * (m + revealed_b / 2.0) / params.M
-    return params.t * np.exp(1j * phases)
+    return params.t * np.exp(1j * code_phases(revealed_m, revealed_b, params.M))
 
 
 def bob_verify(payload: QuantumPayload, revealed: tuple[int, tuple[int, ...]],
@@ -176,7 +167,7 @@ def bob_verify(payload: QuantumPayload, revealed: tuple[int, tuple[int, ...]],
         )
     try:
         targets = expected_amplitudes(revealed_b, revealed_m, params)
-    except (ValueError, OverflowError) as exc:  # OverflowError: phase beyond int64
+    except ValueError as exc:
         raise ProtocolAbort(f"malformed reveal: {exc}") from exc
     counts = payload.count_after_displacement(-targets, rng)
     return Verdict(not counts.any(), tuple(counts.tolist()))
@@ -188,8 +179,7 @@ def cheat_open(commitment: Commitment, target_b: int) -> tuple[int, tuple[int, .
     Keeping m unchanged maximizes the all-zeros probability; with
     target_b == commitment.b this is just the honest open.
     """
-    if target_b not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {target_b}")
+    _check_bit(target_b)
     return target_b, commitment.m
 
 
@@ -250,8 +240,7 @@ class HonestAlice(AliceStrategy):
     name = "honest"
 
     def __init__(self, b: int):
-        if b not in (0, 1):
-            raise ValueError("bit must be 0 or 1")
+        _check_bit(b)
         self.b = b
 
     def commitment_bit(self, params, rng):
@@ -267,8 +256,7 @@ class CheatOpenAlice(AliceStrategy):
     name = "cheat-open"
 
     def __init__(self, commit_b: int):
-        if commit_b not in (0, 1):
-            raise ValueError("bit must be 0 or 1")
+        _check_bit(commit_b)
         self.commit_b = commit_b
 
     def commitment_bit(self, params, rng):

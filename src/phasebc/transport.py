@@ -296,8 +296,8 @@ _INT_TYPES = frozenset({int} | {t for t in np.sctypeDict.values()
                                 if issubclass(t, np.integer) and t is not np.timedelta64})
 
 
-def _is_int_list(value) -> bool:
-    return type(value) is list and set(map(type, value)) <= _INT_TYPES
+def _is_list_of(value, types) -> bool:
+    return type(value) is list and set(map(type, value)) <= types
 
 
 class _Endpoint:
@@ -383,7 +383,7 @@ class AliceSession(_Endpoint):
                 return self._abort(f"expected VERDICT, got {message.kind}")
             accepted = message.body.get("accepted")
             counts = message.body.get("counts")
-            if not (isinstance(accepted, bool) and _is_int_list(counts)):
+            if not (isinstance(accepted, bool) and _is_list_of(counts, _INT_TYPES)):
                 return self._abort("malformed VERDICT body")
             try:
                 self.verdict = proto.Verdict(accepted, tuple(counts))
@@ -415,10 +415,14 @@ class BobSession(_Endpoint):
             self.state = "wait_commit"
             return [self._msg("HELLO", _params_body(self.params, "bob"))]
         if self.state == "wait_commit":
-            try:
-                pairs = message.body["amplitudes"]
-                amps = np.array([complex(re, im) for re, im in pairs])
-            except (KeyError, TypeError, ValueError, OverflowError):
+            pairs = message.body.get("amplitudes")
+            flat = (list(chain.from_iterable(pairs))
+                    if _is_list_of(pairs, {list}) and set(map(len, pairs)) <= {2} else None)
+            if not _is_list_of(flat, _INT_TYPES | _FLOAT_TYPES):
+                return self._abort("malformed COMMIT body")
+            try:  # each [re, im] pair of doubles is laid out as one complex128
+                amps = np.array(flat, dtype=np.float64).view(np.complex128)
+            except OverflowError:  # an int beyond the double range
                 return self._abort("malformed COMMIT body")
             if not np.isfinite(amps).all():
                 return self._abort("malformed COMMIT body")
@@ -433,7 +437,7 @@ class BobSession(_Endpoint):
             return []
         bit = message.body.get("bit")
         phases = message.body.get("phases")
-        if not (type(bit) in _INT_TYPES and _is_int_list(phases)):
+        if not (type(bit) in _INT_TYPES and _is_list_of(phases, _INT_TYPES)):
             return self._abort("malformed OPEN body")
         try:
             self.verdict = self.strategy.verify(self._payload, (bit, tuple(phases)),

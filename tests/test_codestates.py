@@ -34,6 +34,12 @@ class TestCodePhase:
         with pytest.raises(ValueError):
             code_phase(0, 2, 8)
 
+    @pytest.mark.parametrize("m", [1.5, True, "3"])
+    def test_index_is_not_coerced(self, m):
+        # 1.5 once gave an off-grid phase
+        with pytest.raises(ValueError, match="integer dtype"):
+            code_phase(m, 0, 8)
+
 
 class TestIdealRho:
     def test_vacuum(self):

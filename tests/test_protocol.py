@@ -93,6 +93,14 @@ class TestBobVerify:
         with pytest.raises(proto.ProtocolAbort):
             bob_verify(payload, (0, (0, 1)), params, np.random.default_rng(1))
 
+    def test_fractional_index_is_a_malformed_reveal(self):
+        # the index was truncated, so m0 + 0.4 opened as m0 and was accepted
+        params = ProtocolParams(1.0, 8, 1)
+        c, payload = commit(0, params, np.random.default_rng(4))
+        with pytest.raises(proto.ProtocolAbort) as err:
+            bob_verify(payload, (0, (c.m[0] + 0.4,)), params, np.random.default_rng(5))
+        assert str(err.value).startswith("malformed reveal")
+
     def test_verdict_consistency_invariant(self):
         with pytest.raises(ValueError):
             Verdict(True, (0, 1, 0))
@@ -119,6 +127,13 @@ class TestExpectedAmplitudes:
             with pytest.raises(ValueError) as vectorised:
                 proto.expected_amplitudes(b, m, params)
             assert str(vectorised.value) == str(loop.value)
+
+    @pytest.mark.parametrize("m", [1.5, True, "3"])
+    def test_index_is_not_coerced(self, m):
+        # int64 conversion truncated 1.5 and accepted "3" and True
+        params = ProtocolParams(1.0, 8, 1)
+        with pytest.raises(ValueError, match="integer dtype"):
+            proto.expected_amplitudes(0, [m], params)
 
 
 class TestCheatOpen:

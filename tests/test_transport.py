@@ -419,6 +419,34 @@ class TestStateMachine:
             assert replies[0].kind == "ABORT"
             assert "malformed COMMIT" in replies[0].body["reason"]
 
+    def test_bool_amplitude_aborts(self):
+        # complex(true, 0.5) once read JSON true as amplitude 1.0
+        line = (b'{"kind":"COMMIT","session":"s","amplitudes":'
+                b'[[true,0.5],[1.0,0.0],[1.0,0.0],[1.0,0.0]]}')
+        bob = self.bob()
+        bob.handle(tp.WireMessage("HELLO", "s", tp._params_body(make_params(), "alice")))
+        replies = bob.handle(tp.decode_line(line))
+        assert replies[0].kind == "ABORT"
+        assert replies[0].body["reason"] == "malformed COMMIT body"
+
+    @pytest.mark.parametrize("run", [tp._run_loopback, tp._run_tcp],
+                             ids=["loopback", "tcp"])
+    def test_bool_amplitude_aborts_session(self, run):
+        class BoolAmplitudeAlice(tp.AliceSession):
+            def handle(self, message):
+                replies = super().handle(message)
+                for reply in replies:
+                    if reply.kind == "COMMIT":
+                        reply.body["amplitudes"][0] = [True, 0.5]
+                return replies
+
+        params = make_params()
+        alice = BoolAmplitudeAlice(proto.HonestAlice(0), params, tp.ChannelModel(),
+                                   np.random.default_rng(1), "s")
+        transcript = run(alice, self.bob(params))
+        assert transcript.aborted and transcript.verdict is None
+        assert transcript.abort_reason == "malformed COMMIT body"
+
     def test_out_of_range_phase_aborts(self):
         for phases in ([0, 1, 2, 99], [0, 1, 2, 10 ** 30]):
             bob = self.bob()
