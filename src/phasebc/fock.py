@@ -117,8 +117,6 @@ def cutoff_for_energy(energy: float, tail_tol: float) -> int:
         raise ValueError(f"invalid energy {energy}")
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    if energy == 0.0:
-        return 0
     # P(X > n) for Poisson(E) is the regularized lower incomplete gamma,
     # decreasing in n: bracket the first n below tail_tol, then bisect.
     # Invariant: P(X > lo) >= tail_tol > P(X > hi); P(X > -1) = 1.

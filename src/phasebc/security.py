@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,8 +38,6 @@ def trace_norm_bound(t: float, M: int) -> TraceNormBound:
     """
     if M < 2:
         raise ValueError(f"modulation order must be >= 2, got {M}")
-    if t == 0.0:
-        return TraceNormBound(0.0, True, 2.0 ** (-M / 2.0))
     try:
         q = (2.0 * math.e * t * t / M) ** (M / 2.0)
     except OverflowError:
@@ -73,8 +71,6 @@ def _secular_trace_norm(weights: np.ndarray, M: int) -> float:
     Classes with fewer than two nonzero weights contribute 0; weights that
     underflow to exact zeros drop out of the sums.
     """
-    if M >= weights.size:  # every class holds at most one weight
-        return 0.0
     w = _by_class(weights, M)
     w = w[np.count_nonzero(w, axis=1) >= 2]
     # Weights are at most 1, so u_i = w_i / w_p cannot underflow to zero.
@@ -237,10 +233,6 @@ def find_params(epsilon: float, t: float, scan_limit: int = 512) -> Plan:
     )
 
 
-def _finite_or_none(x: float) -> float | None:
-    return x if math.isfinite(x) else None
-
-
 @dataclass(frozen=True)
 class SecurityReport:
     t: float
@@ -257,19 +249,11 @@ class SecurityReport:
 
     def as_document(self) -> dict:
         """Report fields; a bound beyond double range is written as null."""
-        return {
-            "t": self.t,
-            "M": self.M,
-            "k": self.k,
-            "epsilon": self.epsilon,
-            "pcb_bound": _finite_or_none(self.pcb_bound),
-            "pca_exact": self.pca_exact,
-            "trace_norm_numeric": self.trace_norm_numeric,
-            "trace_norm_bound": _finite_or_none(self.trace_norm_bound),
-            "bound_valid": self.bound_valid,
-            "simplified_bound": self.simplified_bound,
-            "feasible": self.feasible,
-        }
+        doc = asdict(self)
+        for key in ("pcb_bound", "trace_norm_bound"):
+            if not math.isfinite(doc[key]):
+                doc[key] = None
+        return doc
 
 
 def security_report(t: float, M: int, k: int, epsilon: float) -> SecurityReport:

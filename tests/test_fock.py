@@ -34,6 +34,10 @@ class TestCutoffForEnergy:
     def test_vacuum(self):
         assert cutoff_for_energy(0.0, 1e-12) == 0
 
+    @pytest.mark.parametrize("tol", [0.5, 1e-6, 1e-300])
+    def test_vacuum_at_any_tolerance(self, tol):
+        assert cutoff_for_energy(0.0, tol) == 0
+
     def test_unit_energy_tail(self):
         n = cutoff_for_energy(1.0, 1e-12)
         assert n == 14  # frozen from the tail-sum oracle

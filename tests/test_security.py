@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from phasebc.codestates import CodeParams, build_D, build_sigma
-from phasebc.fock import FockOperator, density_cutoff, helstrom_success, trace_norm
+from phasebc.fock import (FockOperator, density_cutoff, helstrom_success, poisson_weights,
+                          trace_norm)
 from phasebc.security import (
     SearchExhausted,
+    TraceNormBound,
+    _secular_trace_norm,
     epsilon_secure_check,
     find_params,
     numeric_trace_norm_check,
@@ -39,6 +42,11 @@ class TestTraceNormBound:
         b = trace_norm_bound(0.0, 6)
         assert b.value == 0.0 and b.valid
 
+    @pytest.mark.parametrize("M", [2, 3, 8, 512, 4096])
+    def test_zero_amplitude_every_field(self, M):
+        # 2^{-M/2} underflows to 0.0 at M = 4096
+        assert trace_norm_bound(0.0, M) == TraceNormBound(0.0, True, 2.0 ** (-M / 2.0))
+
     def test_validity_flag(self):
         assert not trace_norm_bound(1.0, 6).valid   # (2e/6)^3 > 1/2
         assert trace_norm_bound(1.0, 8).valid
@@ -67,6 +75,12 @@ class TestNumericTraceNorm:
     def test_zero_amplitude(self):
         numeric, _, ok = numeric_trace_norm_check(0.0, 8)
         assert numeric == 0.0 and ok
+
+    @pytest.mark.parametrize("energy, M", [(1.0, 40), (0.0, 2), (1.0, 31), (0.3, 1000)])
+    def test_single_weight_classes_give_exact_zero(self, energy, M):
+        # M at or above the number of weights, or a vacuum with one nonzero weight
+        weights = poisson_weights(energy, density_cutoff(energy))
+        assert _secular_trace_norm(weights, M) == 0.0
 
     @pytest.mark.parametrize("t", [0.0, 0.3, 1.0, 2.0, 4.0, 8.0])
     @pytest.mark.parametrize("M", [2, 3, 6, 8, 16, "above-cutoff"])
