@@ -109,6 +109,11 @@ _GRID_POINTS = _checked(int, lambda v: 2 <= v <= _MAX_POINTS,
                         f"an integer in 2..{_MAX_POINTS}")
 _MIXTURE_ORDER = _checked(int, lambda v: 2 <= v <= _MAX_MIXTURE,
                           f"an integer in 2..{_MAX_MIXTURE}")
+# wigner's time grows as points^2 * M Gaussian evaluations plus a cost per
+# mixture point that does not depend on the grid.  Capping points^2 * M at
+# its value for -M at its cap with --points 2, the slowest run the two caps
+# above allow (15 s on 2 vCPUs), keeps every run within that run's time.
+_MAX_WORK = 2 ** 2 * _MAX_MIXTURE
 _PORT = _checked(int, lambda v: 1 <= v <= 65535, "a port in 1..65535")
 _ADDRESS = _checked(_host_port, lambda v: v[0] and 1 <= v[1] <= 65535, "HOST:PORT")
 
@@ -149,16 +154,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run commitment sessions")
     _add_options(p_sim, "-M", "-k", "--epsilon", "--tau", "--seed", "--out",
                  "--format", modes=_SESSION_MODES)
-    p_sim.add_argument("--strategy", choices=("honest", "cheat-open"),
-                       default="honest")
-    p_sim.add_argument("-n", "--sessions", type=_POSITIVE_INT, default=1000)
-    p_sim.add_argument("--bit", type=int, choices=(0, 1), default=0)
-    p_sim.add_argument("--transcript", default=None,
-                       help="write the first session's transcript here")
-    p_sim.add_argument("--listen", type=_PORT, default=None, metavar="PORT",
-                       help="serve one session as the receiver on this port")
-    p_sim.add_argument("--connect", type=_ADDRESS, default=None, metavar="HOST:PORT",
-                       help="run one session as the sender against a listener")
+    p_sim.add_argument("--strategy", choices=("honest", "cheat-open"))
+    p_sim.add_argument("-n", "--sessions", type=_POSITIVE_INT)
+    p_sim.add_argument("--bit", type=int, choices=(0, 1))
+    p_sim.add_argument("--transcript", help="write the first session's transcript here")
+    p_sim.set_defaults(format=None)  # the defaults are in _SIMULATE_OPTIONS
+    network = p_sim.add_mutually_exclusive_group()
+    network.add_argument("--listen", type=_PORT, default=None, metavar="PORT",
+                         help="serve one session as the receiver on this port")
+    network.add_argument("--connect", type=_ADDRESS, default=None, metavar="HOST:PORT",
+                         help="run one session as the sender against a listener")
 
     p_bounds = sub.add_parser("bounds", help="security report for one point")
     _add_options(p_bounds, "-M", "-k", "--epsilon", "--out", "--format",
@@ -186,7 +191,31 @@ def _alice_strategy(args) -> proto.AliceStrategy:
     return proto.CheatOpenAlice(args.bit)
 
 
+# simulate options that one networked session does not read: the session
+# loop's, and with --listen also the sender's.  They parse as None when not
+# given, so that an explicit value, even the default, can be rejected.
+_SIMULATE_OPTIONS = {  # name: (dest, default, read by the --connect sender)
+    "-n/--sessions": ("sessions", 1000, False),
+    "--transcript": ("transcript", None, False),
+    "--out": ("out", None, False),
+    "--format": ("format", "text", False),
+    "--strategy": ("strategy", "honest", True),
+    "--bit": ("bit", 0, True),
+}
+
+
+def _mode_options(args) -> None:
+    """Reject the options the chosen mode does not read; default the others."""
+    for name, (dest, default, sender) in _SIMULATE_OPTIONS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.listen or (args.connect and not sender):
+            mode = "--listen" if args.listen else "--connect"
+            raise _UsageError(f"argument {name}: not allowed with argument {mode}")
+
+
 def cmd_simulate(args) -> int:
+    _mode_options(args)
     try:
         params = proto.ProtocolParams(_energy_of(args), args.M, args.k,
                                       args.epsilon, args.tau)
@@ -286,6 +315,9 @@ def cmd_mayers(args) -> int:
 
 
 def cmd_wigner(args) -> int:
+    if args.points ** 2 * args.M > _MAX_WORK:
+        raise _UsageError(f"argument -M with --points: points^2 * M = "
+                          f"{args.points ** 2 * args.M} exceeds {_MAX_WORK}")
     params = CodeParams.from_energy(_energy_of(args), args.M)
     halfwidth = args.halfwidth if args.halfwidth is not None else params.t + 4.0
     grid = wigner_sigma(args.bit, params, GridSpec.centered(halfwidth, args.points))

@@ -139,6 +139,20 @@ class TestUsageErrors:
         ["wigner", "-M", str(cli._MAX_MIXTURE + 1)],
         # k beyond the double range, which pcb_bound multiplies into a float
         pytest.param(["bounds", "-k", str(10 ** 309)], id="bounds -k 10**309"),
+        # options one networked session would ignore, even at their defaults
+        ["simulate", "--listen", "5000", "-n", "1000"],
+        ["simulate", "--listen", "5000", "--transcript", "t"],
+        ["simulate", "--listen", "5000", "--out", "o"],
+        ["simulate", "--listen", "5000", "--format", "text"],
+        ["simulate", "--listen", "5000", "--strategy", "honest"],
+        ["simulate", "--listen", "5000", "--bit", "0"],
+        ["simulate", "--connect", "127.0.0.1:5000", "-n", "1000"],
+        ["simulate", "--connect", "127.0.0.1:5000", "--transcript", "t"],
+        ["simulate", "--connect", "127.0.0.1:5000", "--out", "o"],
+        ["simulate", "--connect", "127.0.0.1:5000", "--format", "text"],
+        ["simulate", "--listen", "5000", "--connect", "127.0.0.1:5000"],
+        # points^2 * M one past the work cap at the default 201-point grid
+        ["wigner", "-M", str(cli._MAX_WORK // 201 ** 2 + 1)],
     ], ids=" ".join)
     def test_exit_two(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
