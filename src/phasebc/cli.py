@@ -109,10 +109,9 @@ _GRID_POINTS = _checked(int, lambda v: 2 <= v <= _MAX_POINTS,
                         f"an integer in 2..{_MAX_POINTS}")
 _MIXTURE_ORDER = _checked(int, lambda v: 2 <= v <= _MAX_MIXTURE,
                           f"an integer in 2..{_MAX_MIXTURE}")
-# wigner's time grows as points^2 * M Gaussian evaluations plus a cost per
-# mixture point that does not depend on the grid.  Capping points^2 * M at
-# its value for -M at its cap with --points 2, the slowest run the two caps
-# above allow (15 s on 2 vCPUs), keeps every run within that run's time.
+# wigner costs points^2 * M Gaussian evaluations plus a fixed cost per mixture
+# point.  Capping points^2 * M at its value for -M at its cap with --points 2,
+# the slowest run the caps above allow, keeps every run within its time.
 _MAX_WORK = 2 ** 2 * _MAX_MIXTURE
 _PORT = _checked(int, lambda v: 1 <= v <= 65535, "a port in 1..65535")
 _ADDRESS = _checked(_host_port, lambda v: v[0] and 1 <= v[1] <= 65535, "HOST:PORT")
@@ -158,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("-n", "--sessions", type=_POSITIVE_INT)
     p_sim.add_argument("--bit", type=int, choices=(0, 1))
     p_sim.add_argument("--transcript", help="write the first session's transcript here")
-    p_sim.set_defaults(format=None)  # the defaults are in _SIMULATE_OPTIONS
+    p_sim.set_defaults(format=None)  # the defaults are in _SIMULATE_DEFAULTS
     network = p_sim.add_mutually_exclusive_group()
     network.add_argument("--listen", type=_PORT, default=None, metavar="PORT",
                          help="serve one session as the receiver on this port")
@@ -191,27 +190,22 @@ def _alice_strategy(args) -> proto.AliceStrategy:
     return proto.CheatOpenAlice(args.bit)
 
 
-# simulate options that one networked session does not read: the session
-# loop's, and with --listen also the sender's.  They parse as None when not
-# given, so that an explicit value, even the default, can be rejected.
-_SIMULATE_OPTIONS = {  # name: (dest, default, read by the --connect sender)
-    "-n/--sessions": ("sessions", 1000, False),
-    "--transcript": ("transcript", None, False),
-    "--out": ("out", None, False),
-    "--format": ("format", "text", False),
-    "--strategy": ("strategy", "honest", True),
-    "--bit": ("bit", 0, True),
-}
+# simulate options that one networked session does not read, except the
+# sender's with --connect.  They parse as None when not given, so that an
+# explicit value, even the default, can be rejected.
+_SIMULATE_DEFAULTS = {"sessions": 1000, "transcript": None, "out": None,
+                      "format": "text", "strategy": "honest", "bit": 0}
+_SENDER_OPTIONS = ("strategy", "bit")
 
 
 def _mode_options(args) -> None:
     """Reject the options the chosen mode does not read; default the others."""
-    for name, (dest, default, sender) in _SIMULATE_OPTIONS.items():
+    for dest, default in _SIMULATE_DEFAULTS.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
-        elif args.listen or (args.connect and not sender):
+        elif args.listen or (args.connect and dest not in _SENDER_OPTIONS):
             mode = "--listen" if args.listen else "--connect"
-            raise _UsageError(f"argument {name}: not allowed with argument {mode}")
+            raise _UsageError(f"argument --{dest}: not allowed with argument {mode}")
 
 
 def cmd_simulate(args) -> int:

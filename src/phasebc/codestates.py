@@ -78,11 +78,11 @@ def code_phases(m, b: int, M: int) -> np.ndarray:
     integer indices m in [0, M): a float, bool or string index raises
     ValueError instead of being truncated."""
     m = np.asarray(m)
-    if not np.issubdtype(m.dtype, np.integer):
+    if m.dtype.kind not in "iu":  # signed or unsigned integers; bool is "b"
         raise ValueError(f"phase indices need an integer dtype, got {m.dtype}")
     b = _check_bit(b)
     outside = (m < 0) | (m >= M)
-    if outside.any():
+    if np.count_nonzero(outside):  # cheaper than .any() on short arrays
         raise ValueError(f"phase index {m[outside][0]} outside [0, {M})")
     return 2.0 * math.pi * (m + b / 2.0) / M
 
