@@ -309,9 +309,10 @@ def cmd_mayers(args) -> int:
 
 
 def cmd_wigner(args) -> int:
-    if args.points ** 2 * args.M > _MAX_WORK:
-        raise _UsageError(f"argument -M with --points: points^2 * M = "
-                          f"{args.points ** 2 * args.M} exceeds {_MAX_WORK}")
+    work = args.points ** 2 * args.M
+    if work > _MAX_WORK:
+        raise _UsageError(f"argument -M with --points: points^2 * M = {work} "
+                          f"exceeds {_MAX_WORK}")
     params = CodeParams.from_energy(_energy_of(args), args.M)
     halfwidth = args.halfwidth if args.halfwidth is not None else params.t + 4.0
     grid = wigner_sigma(args.bit, params, GridSpec.centered(halfwidth, args.points))
