@@ -79,6 +79,31 @@ MAYERS_REPORTS = {
         '"steering_map_1":[7,6,5,4,3,2,1,0],"steering_bijective_1":true,'
         '"switch_fidelity_one_sided":0.89774255361598798,'
         '"switch_fidelity_two_sided":0.99999999999999989}'),
+    "mayers -t 0.15 -M 8": (
+        # one sector at or below LAMBDA_FLOOR: the sector-dropping path
+        '{"t":0.14999999999999999,"M":8,"cutoff":16,'
+        '"discarded_mass":5.6633768925831541e-16,"norm_0":0.99999999999999967,'
+        '"marginal_a_residual_0":6.7736020516259822e-16,'
+        '"marginal_b_residual_0":6.7736020516259822e-16,'
+        '"povm_completeness_residual_0":0.0,'
+        '"outcome_probs_0":[0.12499999999999989,0.12499999999999989,'
+        '0.12499999999999989,0.12499999999999989,0.12499999999999989,'
+        '0.12499999999999989,0.12499999999999989,0.12499999999999989],'
+        '"outcome_remainder_0":1.0942548667159878e-16,'
+        '"steering_min_fidelity_0":0.99999999999999911,'
+        '"steering_map_0":[0,7,6,5,4,3,2,1],"steering_bijective_0":true,'
+        '"norm_1":0.99999999999999967,'
+        '"marginal_a_residual_1":6.7736020516259822e-16,'
+        '"marginal_b_residual_1":6.7736020516259822e-16,'
+        '"povm_completeness_residual_1":0.0,'
+        '"outcome_probs_1":[0.12499999999999988,0.12499999999999989,'
+        '0.12499999999999988,0.12499999999999989,0.12499999999999988,'
+        '0.12499999999999989,0.12499999999999989,0.12499999999999989],'
+        '"outcome_remainder_1":1.0942548667159878e-16,'
+        '"steering_min_fidelity_1":0.99999999999999911,'
+        '"steering_map_1":[7,6,5,4,3,2,1,0],"steering_bijective_1":true,'
+        '"switch_fidelity_one_sided":0.99999999999999933,'
+        '"switch_fidelity_two_sided":0.99999999999999933}'),
 }
 
 
