@@ -13,7 +13,6 @@ Layout:
 
 from .codestates import (
     CodeParams,
-    EigenSystem,
     build_D,
     build_ideal_rho,
     build_sigma,
@@ -39,7 +38,6 @@ from .fock import (
 from .mayers import (
     MayersKit,
     build_kit,
-    build_povm,
     build_purification,
     build_U,
     conditional_bob_state,

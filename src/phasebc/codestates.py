@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (FockOperator, FockVector, _log_poisson_weights, coherent_vector,
-                   density_cutoff, poisson_weights)
+from .fock import (FockOperator, _log_poisson_weights, coherent_vector, density_cutoff,
+                   poisson_weights)
 
 
 @dataclass(frozen=True)
@@ -43,28 +43,6 @@ class CodeParams:
     @classmethod
     def from_energy(cls, energy: float, M: int) -> "CodeParams":
         return cls(math.sqrt(energy), M, density_cutoff(energy))
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvectors and eigenvalues of an average code state.
-
-    vectors[r] is sub-normalized with squared norm values[r]; its support
-    is the photon-number residue class {r, r+M, r+2M, ...}.
-    """
-
-    b: int
-    vectors: tuple[FockVector, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "vectors", tuple(self.vectors))
-
-    def normalized_vector(self, r: int) -> np.ndarray:
-        return self.vectors[r].amps / math.sqrt(self.values[r])
 
 
 def _check_bit(b: int) -> int:
@@ -116,12 +94,6 @@ def _signs(b: int, params: CodeParams) -> np.ndarray:
     return 1 - 2 * (b * (np.arange(params.cutoff + 1) // params.M) % 2)
 
 
-def _amplitudes(b: int, params: CodeParams) -> np.ndarray:
-    """sigma_b's eigenvector amplitudes at every photon number; class r of them
-    is eigen_sigma's vectors[r]."""
-    return np.exp(_log_poisson_weights(params.energy, params.cutoff) / 2.0) * _signs(b, params)
-
-
 def _sigma_entries(params: CodeParams, b: int) -> np.ndarray:
     """<m|sigma_b|n> = e^{-t^2} t^{m+n}/sqrt(m! n!) (-1)^{b (m-n)/M} on the
     stride-M off-diagonals (m = n mod M), exactly zero elsewhere."""
@@ -158,15 +130,13 @@ def build_D(params: CodeParams) -> FockOperator:
     return FockOperator(params.cutoff, mat)
 
 
-def eigen_sigma(b: int, params: CodeParams) -> EigenSystem:
-    """Eigendecomposition of sigma_b over photon-number residue classes.
+def eigen_sigma(b: int, params: CodeParams) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem of sigma_b over photon-number residue classes.
 
-    vectors[r] has amplitude e^{-t^2/2} t^{r+jM} (-1)^{b j}/sqrt((r+jM)!)
-    at photon number r + jM; its squared norm is the eigenvalue.
+    Returns (values, amps): amps[n] = e^{-t^2/2} t^n (-1)^{b j}/sqrt(n!) at
+    n = r + jM, so the class-r part of amps is the eigenvector for
+    values[r], its squared norm.
     """
-    _check_bit(b)
-    M, N = params.M, params.cutoff
-    amps = _amplitudes(b, params)
-    per_class = np.where(np.arange(N + 1) % M == np.arange(M)[:, None], amps, 0.0)
-    values = (_by_class(amps, M) ** 2).sum(axis=1)
-    return EigenSystem(b, tuple(FockVector(N, v) for v in per_class), values)
+    weights = _log_poisson_weights(params.energy, params.cutoff)
+    amps = np.exp(weights / 2.0) * _signs(_check_bit(b), params)
+    return (_by_class(amps, params.M) ** 2).sum(axis=1), amps

@@ -27,16 +27,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codestates import CodeParams, _amplitudes, _by_class, _signs, code_phases
+from .codestates import CodeParams, _check_bit, _signs, build_sigma, code_phases, eigen_sigma
 from .fock import FockOperator, FockVector
 
 LAMBDA_FLOOR = 1e-14
 KIT_T_LIMIT = 2.0
 KIT_M_LIMIT = 8
-
-
-class DegenerateEigenvalue(Exception):
-    """An eigenvalue fell below the floor where 1/sqrt(lambda) is unusable."""
 
 
 @dataclass(frozen=True)
@@ -47,9 +43,7 @@ class MayersKit:
     purification0: FockVector     # (N+1)^2 amplitudes, A factor major
     purification1: FockVector
     U: FockOperator               # switching unitary on the truncated space
-    povm0: tuple[FockOperator, ...]   # M projectors plus the remainder element
-    povm1: tuple[FockOperator, ...]
-    chi0: np.ndarray              # (M, N+1): povm0[m] projects onto chi0[m]
+    chi0: np.ndarray              # (M, N+1): the b=0 measurement's |chi_m>, one per row
     chi1: np.ndarray
     discarded_mass: float
 
@@ -58,7 +52,7 @@ class MayersKit:
         return self.params.cutoff + 1
 
     def purification_matrix(self, b: int) -> np.ndarray:
-        vec = self.purification1 if b else self.purification0
+        vec = self.purification1 if _check_bit(b) else self.purification0
         d = self.dim
         return vec.amps.reshape(d, d)
 
@@ -67,28 +61,20 @@ def _sectors(b: int, params: CodeParams) -> tuple[np.ndarray, np.ndarray, np.nda
     """sigma_b's eigenvalues lambda_r; its normalized eigenvectors
     phi_{r,b}/sqrt(lambda_r) in one vector, zero on sectors at or below the
     floor; and the class r = n mod M of each photon number n."""
-    amps = _amplitudes(b, params)
-    values = (_by_class(amps, params.M) ** 2).sum(axis=1)
+    values, amps = eigen_sigma(b, params)
     r = np.arange(params.cutoff + 1) % params.M
     kept = np.where(values > LAMBDA_FLOOR, values, np.inf)
     return values, amps / np.sqrt(kept)[r], r
 
 
-def build_purification(b: int, params: CodeParams,
-                       drop_below_floor: bool = False) -> FockVector:
+def build_purification(b: int, params: CodeParams) -> FockVector:
     """Rank-M purification sum_r lambda_r^{-1/2} phi_{r,b} (x) phi_{r,b}.
 
-    Raises DegenerateEigenvalue when a sector eigenvalue is at or below the
-    floor, unless drop_below_floor is set, in which case that sector is
-    omitted (the vector then carries slightly less than unit norm).
+    A sector whose eigenvalue is at or below the floor is omitted, so the
+    vector then carries slightly less than unit norm (the kit reports the
+    discarded mass).
     """
     values, unit, r = _sectors(b, params)
-    low = values <= LAMBDA_FLOOR
-    if low.any() and not drop_below_floor:
-        first = int(np.argmax(low))
-        raise DegenerateEigenvalue(
-            f"lambda_{first} = {values[first]:.3e} at or below floor {LAMBDA_FLOOR}"
-        )
     # lambda^{-1/2} phi phi^T is lambda^{1/2} times the normalized outer product
     psi = np.where(r[:, None] == r, np.outer(unit, unit * np.sqrt(values)[r]), 0.0)
     return FockVector(psi.size - 1, psi.reshape(-1))
@@ -125,20 +111,6 @@ def _povm_vectors(params: CodeParams) -> tuple[np.ndarray, np.ndarray]:
     return chi0, chi1
 
 
-def _projectors(chi: np.ndarray, cutoff: int) -> tuple[FockOperator, ...]:
-    """Rank-1 projectors onto the rows of chi plus the remainder element."""
-    elems = [FockOperator(cutoff, np.outer(c, c.conj())) for c in chi]
-    total = sum(e.matrix for e in elems)
-    elems.append(FockOperator(cutoff, np.eye(cutoff + 1, dtype=complex) - total))
-    return tuple(elems)
-
-
-def build_povm(params: CodeParams) -> tuple[tuple[FockOperator, ...], tuple[FockOperator, ...]]:
-    """Both measurement families, each M rank-1 projectors plus a remainder."""
-    chi0, chi1 = _povm_vectors(params)
-    return _projectors(chi0, params.cutoff), _projectors(chi1, params.cutoff)
-
-
 @lru_cache(maxsize=8)
 def build_kit(params: CodeParams) -> MayersKit:
     """Assemble and cache the full kit at desk scale.
@@ -150,15 +122,13 @@ def build_kit(params: CodeParams) -> MayersKit:
             f"kit restricted to t <= {KIT_T_LIMIT}, M <= {KIT_M_LIMIT} "
             f"(got t={params.t}, M={params.M})"
         )
-    values = _sectors(0, params)[0]
+    values = eigen_sigma(0, params)[0]
     chi0, chi1 = _povm_vectors(params)
     return MayersKit(
         params=params,
-        purification0=build_purification(0, params, drop_below_floor=True),
-        purification1=build_purification(1, params, drop_below_floor=True),
+        purification0=build_purification(0, params),
+        purification1=build_purification(1, params),
         U=build_U(params),
-        povm0=_projectors(chi0, params.cutoff),
-        povm1=_projectors(chi1, params.cutoff),
         chi0=chi0,
         chi1=chi1,
         discarded_mass=float(values[values <= LAMBDA_FLOOR].sum()),
@@ -184,15 +154,13 @@ def switch_fidelities(params: CodeParams) -> tuple[float, float]:
 def outcome_distribution(b: int, params: CodeParams) -> tuple[np.ndarray, float]:
     """Outcome law of the bit-b measurement on the bit-b purification.
 
-    Returns the M probabilities (uniform up to truncation) and the mass on
-    the remainder element.
+    Returns the M probabilities p_m = |psi^dagger chi_m|^2 (uniform up to
+    truncation) and the mass |psi|^2 - sum p on the remainder element.
     """
     kit = build_kit(params)
     psi = kit.purification_matrix(b)
-    rho_a = psi @ psi.conj().T
-    povm = kit.povm1 if b else kit.povm0
-    probs = np.array([float(np.trace(rho_a @ e.matrix).real) for e in povm])
-    return probs[:-1], float(probs[-1])
+    probs = (np.abs((kit.chi1 if b else kit.chi0).conj() @ psi) ** 2).sum(axis=1)
+    return probs, float(np.vdot(psi, psi).real - probs.sum())
 
 
 def conditional_bob_state(m: int, b: int, params: CodeParams) -> tuple[float, int]:
@@ -213,7 +181,8 @@ def conditional_bob_state(m: int, b: int, params: CodeParams) -> tuple[float, in
     cond = cond / nrm
     # the M code states share one radial profile and differ in phase only
     theta = code_phases(np.arange(params.M), b, params.M)
-    codes = _amplitudes(0, params) * np.exp(1j * np.outer(theta, np.arange(params.cutoff + 1)))
+    n = np.arange(params.cutoff + 1)
+    codes = eigen_sigma(0, params)[1] * np.exp(1j * np.outer(theta, n))
     fids = np.abs(codes.conj() @ cond) ** 2
     return float(fids.max()), int(fids.argmax())
 
@@ -224,8 +193,6 @@ def steering_table(b: int, params: CodeParams) -> dict[int, tuple[float, int]]:
 
 def verification_report(params: CodeParams) -> dict:
     """Full numeric verification document for one parameter point."""
-    from .codestates import build_sigma  # local import keeps module load light
-
     kit = build_kit(params)
     d = kit.dim
     report: dict = {"t": params.t, "M": params.M, "cutoff": params.cutoff,
@@ -240,10 +207,10 @@ def verification_report(params: CodeParams) -> dict:
             np.abs(np.linalg.eigvalsh(marg_a - sigma)).sum())
         report[f"marginal_b_residual_{b}"] = float(
             np.abs(np.linalg.eigvalsh(marg_b - sigma)).sum())
-        povm = kit.povm1 if b else kit.povm0
-        total = sum(e.matrix for e in povm)
+        chi = kit.chi1 if b else kit.chi0
+        total = chi.T @ chi.conj()  # sum of the M projectors; the remainder is 1 - total
         report[f"povm_completeness_residual_{b}"] = float(
-            np.abs(total - np.eye(d)).max())
+            np.abs(total + (np.eye(d) - total) - np.eye(d)).max())
         probs, rest = outcome_distribution(b, params)
         report[f"outcome_probs_{b}"] = [float(p) for p in probs]
         report[f"outcome_remainder_{b}"] = rest

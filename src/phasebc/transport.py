@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from . import protocol as proto
-from .codestates import CodeParams, _amplitudes, _by_class
+from .codestates import CodeParams, _by_class, eigen_sigma
 from .fock import coherent_vector
 
 KINDS = ("HELLO", "COMMIT", "OPEN", "VERDICT", "ABORT")
@@ -265,13 +265,14 @@ class HelstromBob(BobStrategy):
         M, N = code_params.M, code_params.cutoff
         n = np.arange(N + 1)
         r = n % M
-        amps = _amplitudes(0, code_params)
+        amps = eigen_sigma(0, code_params)[1]
         parts = _by_class(amps, M)
         norms = np.stack([np.linalg.norm(parts[:, 0::2], axis=1),   # |e_r|
                           np.linalg.norm(parts[:, 1::2], axis=1)])  # |o_r|
         both = norms.min(axis=0)[r] > 0.0
-        u = amps / (math.sqrt(2.0) * np.where(both, norms[n // M % 2, r], np.inf))
-        self._projector = np.where(r[:, None] == r, np.outer(u, u), 0.0)
+        # class r of u is the class's positive eigenvector, or zero
+        self.u = amps / (math.sqrt(2.0) * np.where(both, norms[n // M % 2, r], np.inf))
+        self._M = M
         self._cutoff = N
         self._p_zero: dict[bytes, float] = {}
         self._p_zero_cap = 8 * code_params.M
@@ -284,11 +285,15 @@ class HelstromBob(BobStrategy):
         key = alpha.tobytes()
         p_zero = self._p_zero.get(key)
         if p_zero is None:
-            v = coherent_vector(complex(alpha), self._cutoff).amps
-            p_zero = float(np.real(np.vdot(v, self._projector @ v)))
+            p_zero = self._p_zero_at(alpha)
             if len(self._p_zero) < self._p_zero_cap:
                 self._p_zero[key] = p_zero
         self.guesses.append(0 if rng.random() < p_zero else 1)
+
+    def _p_zero_at(self, alpha) -> float:
+        """p_0 = sum_r |<u_r|v>|^2 for the coherent state v of amplitude alpha."""
+        v = coherent_vector(complex(alpha), self._cutoff).amps
+        return float((np.abs(_by_class(self.u * v, self._M).sum(axis=1)) ** 2).sum())
 
 
 # Python and NumPy integer types, matched exactly so that bool is not one

@@ -10,7 +10,7 @@ import numpy as np
 
 from phasebc import protocol as proto
 from phasebc import transport as tp
-from phasebc.codestates import CodeParams, build_D, build_sigma, eigen_sigma
+from phasebc.codestates import CodeParams, build_D, build_sigma
 from phasebc.fock import FockOperator, helstrom_success, trace_norm
 from phasebc.mayers import build_kit, outcome_distribution, steering_table, switch_fidelities
 from phasebc.phasespace import GridSpec, stellar_polynomial, wigner_sigma
@@ -21,6 +21,8 @@ from phasebc.security import (
     pcb_bound,
     trace_norm_bound,
 )
+
+from oracles import class_vectors, dense_povm
 
 GRID_T = (0.5, 1.0, 2.0)
 GRID_M = (6, 8, 12, 16, 24)
@@ -95,7 +97,7 @@ def test_criterion_5_mayers_kit():
             for marginal in (psi @ psi.conj().T, psi.T @ psi.conj()):
                 assert trace_norm(FockOperator(params.cutoff,
                                                marginal - sigma)) <= 1e-8
-            povm = kit.povm1 if b else kit.povm0
+            povm = dense_povm(kit, b)
             total = sum(e.matrix for e in povm)
             assert np.abs(total - np.eye(d)).max() <= 1e-8
             probs, _ = outcome_distribution(b, params)
@@ -176,9 +178,9 @@ def test_criterion_8_phase_space():
         gaps[M] = float(np.abs(g0.values - g1.values).max())
     assert gaps[6] > 100.0 * gaps[32]
     params = CodeParams.from_energy(1.0, 4)
-    eigen = eigen_sigma(0, params)
+    vectors = class_vectors(0, params)
     for r in range(4):
-        assert stellar_polynomial(eigen.vectors[r]).origin_multiplicity() == r
+        assert stellar_polynomial(vectors[r]).origin_multiplicity() == r
     print(f"criterion 8 PASS: unit-integral nonnegative grids; code-book gap "
           f"{gaps[6]:.2e} (M=6) vs {gaps[32]:.2e} (M=32); origin multiplicities 0..3")
 

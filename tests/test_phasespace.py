@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from phasebc.codestates import CodeParams, eigen_sigma
+from phasebc.codestates import CodeParams
 from phasebc.fock import FockVector, coherent_vector
 from phasebc.phasespace import (
     GridSpec,
@@ -17,6 +17,8 @@ from phasebc.phasespace import (
     wigner_mixture,
     wigner_sigma,
 )
+
+from oracles import class_vectors
 
 
 class TestWigner:
@@ -112,7 +114,7 @@ class TestStellarPolynomial:
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_sector_vector_origin_multiplicity(self, r):
         params = CodeParams.from_energy(1.0, 4)
-        v = eigen_sigma(0, params).vectors[r]
+        v = class_vectors(0, params)[r]
         poly = stellar_polynomial(v)
         assert poly.origin_multiplicity() == r
         roots = stellar_roots(poly, default_root_radius(v))

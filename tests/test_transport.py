@@ -15,6 +15,8 @@ from phasebc.codestates import CodeParams, build_sigma, code_amplitude
 from phasebc.fock import coherent_vector, helstrom_success
 from phasebc.security import pcb_bound
 
+from oracles import helstrom_projector
+
 
 def make_params(**kw):
     defaults = dict(energy=1.0, M=8, k=4)
@@ -573,7 +575,7 @@ class TestAdversarialBob:
         class DirectHelstromBob(tp.HelstromBob):
             def observe_raw_amplitudes(self, amplitudes, params, rng):
                 v = coherent_vector(complex(amplitudes[0]), self._cutoff).amps
-                p_zero = float(np.real(np.vdot(v, self._projector @ v)))
+                p_zero = float(np.real(np.vdot(v, helstrom_projector(self) @ v)))
                 self.guesses.append(0 if rng.random() < p_zero else 1)
 
         params = make_params(M=8, k=1)
@@ -597,31 +599,53 @@ class TestAdversarialBob:
         assert looked_up.guesses == direct.guesses
         assert len(looked_up._p_zero) == 8 * params.M
 
-    @pytest.mark.parametrize("energy, M", [(1.0, 8), (1.0, 4), (4.0, 8)])
-    def test_projector_matches_dense_eigh(self, energy, M):
+    @staticmethod
+    def dense_positive_projector(code):
         # Oracle: the positive eigenspace of the dense sigma_0 - sigma_1.
         # Eigenvalues below the numerical-rank tolerance span its null space,
         # which rounding splits between both signs.
-        code = CodeParams.from_energy(energy, M)
         diff = build_sigma(0, code).matrix - build_sigma(1, code).matrix
         vals, vecs = np.linalg.eigh(diff)
         plus = vecs[:, vals > np.abs(vals).max() * diff.shape[0] * np.finfo(float).eps]
-        dense = plus @ plus.conj().T
-        projector = tp.HelstromBob(code)._projector
-        assert abs(np.trace(projector).real - plus.shape[1]) < 1e-12
+        return plus @ plus.conj().T, plus.shape[1]
+
+    @staticmethod
+    def probe_amplitudes(code):
         # On the grid, off it on the code circle and at half its radius, and
         # zeros of either sign.  Farther out the oracle itself drifts: at
         # E=1, M=8 the eigenvector of the smallest eigenvalue (9e-9) is good
         # to about eps |diff| / 9e-9, which moves p by up to 8e-13 at |alpha| = 3.
         rng = np.random.default_rng(6)
+        M = code.M
         amps = [code_amplitude(m, b, code.t, M) for m in range(M) for b in (0, 1)]
         amps += [r * code.t * np.exp(1j * phi) for r in (1.0, 0.5)
                  for phi in rng.uniform(0.0, 2.0 * math.pi, 50)]
         amps += [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
-        for alpha in amps:
+        return amps
+
+    @pytest.mark.parametrize("energy, M", [(1.0, 8), (1.0, 4), (4.0, 8)])
+    def test_projector_matches_dense_eigh(self, energy, M):
+        code = CodeParams.from_energy(energy, M)
+        dense, rank = self.dense_positive_projector(code)
+        projector = helstrom_projector(tp.HelstromBob(code))
+        assert abs(np.trace(projector).real - rank) < 1e-12
+        for alpha in self.probe_amplitudes(code):
             v = coherent_vector(alpha, code.cutoff).amps
             p_dense = np.vdot(v, dense @ v).real
             assert abs(np.vdot(v, projector @ v).real - p_dense) <= 1e-14, alpha
+
+    @pytest.mark.parametrize("energy, M", [(1.0, 8), (1.0, 4), (4.0, 8), (0.3, 6),
+                                           (9.0, 3)])
+    def test_rank_one_p_zero_matches_dense_eigh(self, energy, M):
+        # The receiver's own p_0, summed per class from its vectors u.  Far
+        # below E = 0.3 the oracle fails instead: at E = 0.02, M = 8 two
+        # classes' eigenvalues fall under its rank tolerance, and it drops them.
+        code = CodeParams.from_energy(energy, M)
+        dense, _ = self.dense_positive_projector(code)
+        bob = tp.HelstromBob(code)
+        for alpha in self.probe_amplitudes(code):
+            v = coherent_vector(alpha, code.cutoff).amps
+            assert abs(bob._p_zero_at(alpha) - np.vdot(v, dense @ v).real) <= 1e-14, alpha
 
 
 class TestChannelModel:
