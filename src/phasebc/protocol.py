@@ -21,6 +21,9 @@ from .codestates import _check_bit, code_phases
 # rate |sent - target|^2 can exceed 4E
 POISSON_RATE_LIMIT = (float(np.iinfo(np.int64).max)
                       - 10.0 * math.sqrt(np.iinfo(np.int64).max)) * (1.0 - 1e-9)
+# |sent - target| of a valid count is within a few ulps of sqrt(4E) and
+# passes; any amplitude that passes squares to below the sampler's limit
+_AMPLITUDE_LIMIT = math.sqrt(POISSON_RATE_LIMIT) * (1.0 + 1e-10)
 
 
 class ProtocolAbort(Exception):
@@ -116,8 +119,13 @@ class QuantumPayload:
             raise ProtocolAbort(
                 f"displacement record length {disp.size} != payload length {len(self)}"
             )
-        residual_energy = np.abs(self._amps + disp) ** 2
-        return rng.poisson(residual_energy)
+        # compared before squaring, which overflows above about 1e154
+        mag = np.abs(self._amps + disp)
+        peak = mag.max()
+        if not peak <= _AMPLITUDE_LIMIT:  # also NaN
+            raise ProtocolAbort(f"displaced amplitude {peak:.6g} exceeds the Poisson "
+                                f"sampler's limit {_AMPLITUDE_LIMIT:.6g}")
+        return rng.poisson(mag * mag)  # bitwise mag ** 2
 
     def __repr__(self) -> str:
         return f"QuantumPayload(k={len(self)}, sealed={self.sealed})"

@@ -234,6 +234,25 @@ class TestPayloadSealing:
         assert np.all(counts == 0)
 
 
+class TestDisplacedAmplitudeLimit:
+    @pytest.mark.parametrize("amplitude", [1e10, 1e155, 1.7e308, -1.7e308 + 1.7e308j])
+    def test_beyond_the_sampler_aborts(self, amplitude):
+        payload = proto.QuantumPayload([amplitude])
+        with pytest.raises(proto.ProtocolAbort, match="Poisson sampler's limit"):
+            payload.count_after_displacement([0.0], np.random.default_rng(0))
+
+    def test_valid_draws_unchanged(self):
+        # the same draws as a rate of |a + d| ** 2, up to the largest valid amplitude
+        rng = np.random.default_rng(5)
+        amps = (rng.normal(size=64) + 1j * rng.normal(size=64)) * np.logspace(-3, 9, 64)
+        amps[-1] = 2.0 * math.sqrt(proto.POISSON_RATE_LIMIT / 4.0)
+        disp = rng.normal(size=64) * 1e-3
+        counts = proto.QuantumPayload(amps).count_after_displacement(
+            disp, np.random.default_rng(6))
+        expected = np.random.default_rng(6).poisson(np.abs(amps + disp) ** 2)
+        assert np.array_equal(counts, expected)
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -449,6 +449,29 @@ class TestStateMachine:
         assert transcript.aborted and transcript.verdict is None
         assert transcript.abort_reason == "malformed COMMIT body"
 
+    @pytest.mark.parametrize("amplitude", [1e10, 1e155, 1.7e308])
+    @pytest.mark.parametrize("run", [tp._run_loopback, tp._run_tcp],
+                             ids=["loopback", "tcp"])
+    def test_large_amplitude_aborts_session(self, run, amplitude):
+        # a finite amplitude whose displaced energy NumPy's Poisson sampler
+        # rejects, or whose square overflows, once escaped Bob's handle
+        class LargeAmplitudeAlice(tp.AliceSession):
+            def handle(self, message):
+                replies = super().handle(message)
+                for reply in replies:
+                    if reply.kind == "COMMIT":
+                        reply.body["amplitudes"] = [[amplitude, 0.0]]
+                return replies
+
+        params = make_params(k=1)
+        alice = LargeAmplitudeAlice(proto.HonestAlice(0), params, tp.ChannelModel(),
+                                    np.random.default_rng(1), "s")
+        transcript = run(alice, self.bob(params))
+        assert transcript.aborted and transcript.verdict is None
+        assert "exceeds the Poisson sampler's limit" in transcript.abort_reason
+        assert [m.kind for m in transcript.messages] == ["HELLO", "HELLO", "COMMIT",
+                                                         "OPEN", "ABORT"]
+
     def test_out_of_range_phase_aborts(self):
         for phases in ([0, 1, 2, 99], [0, 1, 2, 10 ** 30]):
             bob = self.bob()
