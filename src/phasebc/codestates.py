@@ -45,8 +45,13 @@ class CodeParams:
         return cls(math.sqrt(energy), M, density_cutoff(energy))
 
 
+# Python and NumPy integer types, matched exactly so that bool is not one
+_INT_TYPES = frozenset({int} | {t for t in np.sctypeDict.values()
+                                if issubclass(t, np.integer) and t is not np.timedelta64})
+
+
 def _check_bit(b: int) -> int:
-    if b not in (0, 1):
+    if type(b) not in _INT_TYPES or b not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {b}")
     return int(b)
 
@@ -55,9 +60,12 @@ def code_phases(m, b: int, M: int) -> np.ndarray:
     """Phase angles 2*pi*(m + b/2)/M of the code amplitudes, elementwise over
     integer indices m in [0, M): a float, bool or string index raises
     ValueError instead of being truncated."""
-    m = np.asarray(m)
+    seq, m = m, np.asarray(m)
     if m.dtype.kind not in "iu":  # signed or unsigned integers; bool is "b"
         raise ValueError(f"phase indices need an integer dtype, got {m.dtype}")
+    # NumPy reads [0, True] as int64, so a sequence's elements are typed one by one
+    if m.ndim and m is not seq and not set(map(type, seq)) <= _INT_TYPES:
+        raise ValueError(f"phase indices must be integers, got {seq!r}")
     b = _check_bit(b)
     outside = (m < 0) | (m >= M)
     if np.count_nonzero(outside):  # cheaper than .any() on short arrays

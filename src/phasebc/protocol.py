@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codestates import _check_bit, code_phases
+from .codestates import _INT_TYPES, _check_bit, code_phases
 
 # NumPy's Poisson sampler rejects a rate above int64 max - 10 sqrt(int64 max);
 # the relative 1e-9 covers the rounding (a few ulps) by which a count's
@@ -74,7 +74,10 @@ class Commitment:
 
     def __post_init__(self):
         _check_bit(self.b)
-        object.__setattr__(self, "m", tuple(map(int, self.m)))
+        m = tuple(self.m)
+        if not set(map(type, m)) <= _INT_TYPES:
+            raise ValueError(f"phase indices must be integers, got {m!r}")
+        object.__setattr__(self, "m", m)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from . import protocol as proto
-from .codestates import CodeParams, _by_class, eigen_sigma
+from .codestates import _INT_TYPES, CodeParams, _by_class, eigen_sigma
 from .fock import coherent_vector
 
 KINDS = ("HELLO", "COMMIT", "OPEN", "VERDICT", "ABORT")
@@ -294,11 +294,6 @@ class HelstromBob(BobStrategy):
         """p_0 = sum_r |<u_r|v>|^2 for the coherent state v of amplitude alpha."""
         v = coherent_vector(complex(alpha), self._cutoff).amps
         return float((np.abs(_by_class(self.u * v, self._M).sum(axis=1)) ** 2).sum())
-
-
-# Python and NumPy integer types, matched exactly so that bool is not one
-_INT_TYPES = frozenset({int} | {t for t in np.sctypeDict.values()
-                                if issubclass(t, np.integer) and t is not np.timedelta64})
 
 
 def _is_list_of(value, types) -> bool:

@@ -11,6 +11,7 @@ from phasebc.codestates import (
     build_sigma_mixture,
     code_amplitude,
     code_phase,
+    code_phases,
     eigen_sigma,
 )
 from phasebc.fock import assert_density, trace_norm
@@ -41,6 +42,23 @@ class TestCodePhase:
         # 1.5 once gave an off-grid phase
         with pytest.raises(ValueError, match="integer dtype"):
             code_phase(m, 0, 8)
+
+    @pytest.mark.parametrize("b", [1.0, True, False, np.float64(0.0), np.True_])
+    def test_bit_is_not_coerced(self, b):
+        # 1.0 and True once gave the b=1 phase
+        with pytest.raises(ValueError, match="bit must be 0 or 1"):
+            code_phase(0, b, 8)
+
+    @pytest.mark.parametrize("m", [[0, True], (True, 1), [np.True_, 0]])
+    def test_bool_in_a_sequence_is_rejected(self, m):
+        # NumPy reads [0, True] as an int64 array
+        with pytest.raises(ValueError, match="phase indices"):
+            code_phases(m, 0, 8)
+
+    @pytest.mark.parametrize("b", [True, 1.0])
+    def test_eigen_sigma_checks_the_bit(self, b):
+        with pytest.raises(ValueError, match="bit must be 0 or 1"):
+            eigen_sigma(b, CodeParams.from_energy(1.0, 4))
 
 
 class TestIdealRho:

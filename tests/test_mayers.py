@@ -259,3 +259,21 @@ class TestKit:
         assert max(report["marginal_a_residual_0"],
                    report["marginal_b_residual_1"]) <= 1e-8
         assert report["discarded_mass"] == 0.0
+
+
+class TestBitChecks:
+    # each of these once read a bad bit as 0 or 1
+    @pytest.mark.parametrize("b", [2, -1, True, 1.0])
+    def test_outcome_distribution(self, b):
+        with pytest.raises(ValueError, match="bit must be 0 or 1"):
+            outcome_distribution(b, params_for(4))
+
+    @pytest.mark.parametrize("b", [7, -1, True, 0.0])
+    def test_purification_matrix(self, b):
+        with pytest.raises(ValueError, match="bit must be 0 or 1"):
+            build_kit(params_for(4)).purification_matrix(b)
+
+    @pytest.mark.parametrize("b", [2, True])
+    def test_build_purification(self, b):
+        with pytest.raises(ValueError, match="bit must be 0 or 1"):
+            build_purification(b, params_for(4))

@@ -106,6 +106,19 @@ class TestBobVerify:
             Verdict(True, (0, 1, 0))
 
 
+class TestCommitmentTypes:
+    @pytest.mark.parametrize("b", [True, False, 1.0])
+    def test_bit_is_not_coerced(self, b):
+        with pytest.raises(ValueError, match="bit must be 0 or 1"):
+            Commitment(b, (1,))
+
+    @pytest.mark.parametrize("m", [1.5, 1.0, True, "1", np.float64(2.0)])
+    def test_index_is_not_coerced(self, m):
+        # int() once turned 1.5 into 1
+        with pytest.raises(ValueError, match="phase indices must be integers"):
+            Commitment(0, (0, m))
+
+
 class TestExpectedAmplitudes:
     @pytest.mark.parametrize("M", [2, 3, 8, 20])
     def test_matches_code_phase_loop_bit_for_bit(self, M):
