@@ -209,6 +209,8 @@ def _mode_options(args) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from scipy.special import betaincinv  # fock already loads scipy.special
+
     _mode_options(args)
     try:
         params = proto.ProtocolParams(_energy_of(args), args.M, args.k,
@@ -238,8 +240,9 @@ def cmd_simulate(args) -> int:
         if transcript.verdict and transcript.verdict.accepted:
             accepted += 1
     n = args.sessions
-    rate = accepted / n
-    half = 1.96 * math.sqrt(max(rate * (1.0 - rate), 1.0 / n) / n)
+    # exact (Clopper-Pearson) limits: beta quantiles, or 0 and 1 at the ends
+    low = betaincinv(accepted, n - accepted + 1, 0.025) if accepted else 0.0
+    high = betaincinv(accepted + 1, n - accepted, 0.975) if accepted < n else 1.0
     doc = {
         "strategy": strategy.name,
         "energy": params.energy,
@@ -249,9 +252,9 @@ def cmd_simulate(args) -> int:
         "seed": args.seed,
         "sessions": n,
         "accepted": accepted,
-        "acceptance_rate": rate,
-        "ci95_low": max(0.0, rate - half),
-        "ci95_high": min(1.0, rate + half),
+        "acceptance_rate": accepted / n,
+        "ci95_low": float(low),
+        "ci95_high": float(high),
     }
     if args.transcript and first is not None:
         with open(args.transcript, "wb") as fh:

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from phasebc import cli
+from phasebc.protocol import Verdict
+from phasebc.transport import SessionTranscript
 
 
 def run_cli(argv, capsys):
@@ -40,6 +42,24 @@ class TestSimulate:
         doc = json.loads(out)
         p = math.exp(-40.0 * math.sin(math.pi / 8.0) ** 2)
         assert doc["ci95_low"] <= p <= doc["ci95_high"]
+
+    @pytest.mark.parametrize("accepted, n, low, high", [
+        (0, 50, 0.0, 0.0711217),
+        (3, 1000, 0.000619100, 0.00874202),
+        (0, 1000, 0.0, 0.00368208),
+        (3, 3, 0.292402, 1.0),
+    ])
+    def test_exact_interval(self, accepted, n, low, high, capsys, monkeypatch):
+        # sessions i < accepted accept; the Wald interval gave 0.0392 at 0/50
+        def run_protocol(strategy, params, seed, session_id):
+            verdict = Verdict(seed[1] < accepted, (0,) if seed[1] < accepted else (1,))
+            return SessionTranscript(session_id, (), verdict)
+
+        monkeypatch.setattr(cli.transport, "run_protocol", run_protocol)
+        code, out = run_cli(["simulate", "-n", str(n), "--format", "structured"], capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["accepted"] == accepted
+        assert [float(f"{doc[k]:.6g}") for k in ("ci95_low", "ci95_high")] == [low, high]
 
     def test_deterministic_reruns(self, capsys, tmp_path):
         argv = ["simulate", "--strategy", "cheat-open", "-E", "0.25", "-M", "4",

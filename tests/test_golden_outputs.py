@@ -32,9 +32,9 @@ DIGESTS = {
     "wigner -t 1 -M 6":
         (0, "c97a9a4f5c56679dd7b85e4e18f34af13bd0b612128b7bef7bb122e9b86f87f7"),
     "simulate -E 1 -M 20 -k 1843 -n 3 --seed 5 --format structured":
-        (0, "c3fe2930842f94cf5302ea580498cbabd91499b245dfa10a46488c28acd58c6f"),
+        (0, "9fbc74eacf743a5a60cdb06b09179b37bdc6c754a4c19cbaf5c627662b4855b1"),
     "simulate --strategy cheat-open -E 1 -M 4 -k 10 -n 50 --seed 9":
-        (0, "15f531480f5b15caeceead89dbb396c823d40c416a5567569289c3aeec759c11"),
+        (0, "6367b2c896d9992d13abf1540c1c5603db617e030bb3ddab934410e9c28be4e0"),
 }
 
 MAYERS_REPORTS = {
