@@ -16,8 +16,9 @@ def class_vectors(b, params):
 
 def normalized_vector(b, params, r):
     """sigma_b's unit eigenvector on residue class r."""
-    values, _ = eigen_sigma(b, params)
-    return class_vectors(b, params)[r].amps / np.sqrt(values[r])
+    values, amps = eigen_sigma(b, params)
+    on_class = np.arange(params.cutoff + 1) % params.M == r
+    return np.where(on_class, amps, 0.0) / np.sqrt(values[r])
 
 
 def projectors(chi, cutoff):
