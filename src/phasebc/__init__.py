@@ -5,7 +5,7 @@ Layout:
   codestates  the protocol's state family and its eigensystem
   protocol    commit/open state machines and acceptance laws
   security    cheating bounds, epsilon-security, parameter search
-  mayers      delayed-choice attack construction and verification
+  mayers      delayed-choice attack kit and its closed-form verification
   phasespace  Wigner grids and stellar-polynomial root analysis
   transport   wire schema and two-party session runner
   cli         command-line entry points
@@ -35,16 +35,7 @@ from .fock import (
     tensor_vectors,
     trace_norm,
 )
-from .mayers import (
-    MayersKit,
-    build_kit,
-    build_purification,
-    build_U,
-    conditional_bob_state,
-    outcome_distribution,
-    switch_fidelities,
-    verification_report,
-)
+from .mayers import MayersKit, build_kit, verification_report
 from .phasespace import (
     GridSpec,
     WignerGrid,

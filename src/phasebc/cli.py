@@ -19,7 +19,7 @@ from . import security, transport
 from . import protocol as proto
 from .codestates import CodeParams
 from .fock import density_cutoff
-from .mayers import KIT_M_LIMIT, KIT_T_LIMIT, verification_report
+from .mayers import verification_report
 from .phasespace import GridSpec, wigner_sigma
 
 DEFAULT_SEED = 20260809  # documented default; override with --seed
@@ -71,7 +71,6 @@ def _energy_types(ok, rule: str):
 
 
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_ORDER = _checked(int, lambda v: v >= 2, "an integer >= 2")
 _SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _PROBABILITY = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 _TRANSMITTIVITY = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
@@ -89,20 +88,24 @@ _REPORT_MODES = _checked(int, lambda v: 1 <= v <= sys.float_info.max,
 # a subnormal E carries fewer than 53 significant bits
 _PLAN_ENERGY = _energy_types(lambda e: sys.float_info.min <= e < math.inf,
                              f"finite and >= {sys.float_info.min!r}")
-# the Mayers kit is built only up to these limits
-_KIT_ENERGY = _energy_types(lambda e: 0.0 <= e <= KIT_T_LIMIT ** 2,
-                            f"in [0, {KIT_T_LIMIT ** 2:g}]")
-_KIT_ORDER = _checked(int, lambda v: 2 <= v <= KIT_M_LIMIT,
-                      f"an integer in 2..{KIT_M_LIMIT}")
 # Allocation caps for a budget of about 250 MB, from tracemalloc peaks at
 # small sizes scaled linearly: a simulate run keeps about 580 bytes per mode
 # (k = 5,000 to 80,000, transcript and report written; a TCP session keeps
 # less), a wigner run about 185 bytes per grid point (points = 101 to 601,
-# CSV text included) and 130 bytes per mixture point (M = 20,000 to 80,000)
+# CSV text included) and 130 bytes per mixture point (M = 20,000 to 80,000),
+# a mayers report about 230 bytes per unit of the grid order (M = 80,000 to
+# 320,000, its lists and their text; bounds keeps about 17 and simulate none)
+# and a plan about 720 bytes per scanned order (t = 10 to 60)
 _BUDGET = 250 * 10 ** 6
 _MAX_MODES = _BUDGET // 580
 _MAX_POINTS = math.isqrt(_BUDGET // 185)
 _MAX_MIXTURE = _BUDGET // 130
+_MAX_ORDER = _BUDGET // 230
+_MAX_SCAN = _BUDGET // 720
+_ORDER = _checked(int, lambda v: 2 <= v <= _MAX_ORDER,
+                  f"an integer in 2..{_MAX_ORDER}")
+_SCAN_LIMIT = _checked(int, lambda v: 2 <= v <= _MAX_SCAN,
+                       f"an integer in 2..{_MAX_SCAN}")
 _SESSION_MODES = _checked(int, lambda v: 1 <= v <= _MAX_MODES,
                           f"an integer in 1..{_MAX_MODES}")
 _GRID_POINTS = _checked(int, lambda v: 2 <= v <= _MAX_POINTS,
@@ -170,11 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="smallest (M, k) for a target epsilon")
     _add_options(p_plan, "--epsilon", "--out", "--format", energy=_PLAN_ENERGY)
-    p_plan.add_argument("--scan-limit", type=int, default=512)
+    p_plan.add_argument("--scan-limit", type=_SCAN_LIMIT, default=512)
 
     p_mayers = sub.add_parser("mayers", help="verify the delayed-choice attack kit")
-    _add_options(p_mayers, "-M", "--out", "--format", energy=_KIT_ENERGY,
-                 order=_KIT_ORDER)
+    _add_options(p_mayers, "-M", "--out", "--format", energy=_REPORT_ENERGY)
 
     p_wigner = sub.add_parser("wigner", help="phase-space grid CSV for sigma_b")
     _add_options(p_wigner, "-M", "--out", order=_MIXTURE_ORDER)
@@ -209,7 +211,7 @@ def _mode_options(args) -> None:
 
 
 def cmd_simulate(args) -> int:
-    from scipy.special import betaincinv  # fock already loads scipy.special
+    from scipy.special import betaincinv  # imported here, as in fock.cutoff_for_energy
 
     _mode_options(args)
     try:

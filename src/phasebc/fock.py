@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, xlogy
 
 # Numeric tolerances: double precision headroom over truncation error.
 HERMITICITY_TOL = 1e-12
@@ -117,6 +116,8 @@ def cutoff_for_energy(energy: float, tail_tol: float) -> int:
         raise ValueError(f"invalid energy {energy}")
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    # scipy.special is imported where it is used: it is most of the import time
+    from scipy.special import gammainc
     # P(X > n) for Poisson(E) is the regularized lower incomplete gamma,
     # decreasing in n: bracket the first n below tail_tol, then bisect.
     # Invariant: P(X > lo) >= tail_tol > P(X > hi); P(X > -1) = 1.
@@ -161,6 +162,8 @@ def _log_poisson_weights(energy: float, cutoff: int) -> np.ndarray:
     summed as d v + 2 n v sum_j v^2j / (2j + 1) with d = n - E, v = d/(n + E).
     Every step runs in place: the cutoff reaches 4e6 under the CLI's cap.
     """
+    from scipy.special import xlogy  # imported here, as in cutoff_for_energy
+
     out = np.empty(cutoff + 1)
     out[0] = -energy
     bd0 = out[1:]

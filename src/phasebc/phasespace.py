@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .codestates import CodeParams, code_phases
 from .fock import FockVector
@@ -131,6 +130,8 @@ class StellarPolynomial:
 
 def stellar_polynomial(v: FockVector) -> StellarPolynomial:
     """Polynomial sum_n c_n alpha^n / sqrt(n!) with trailing zeros stripped."""
+    from scipy.special import gammaln  # imported here, as in fock.cutoff_for_energy
+
     c = np.asarray(v.amps)
     nz = np.flatnonzero(c)
     if nz.size == 0:

@@ -12,7 +12,7 @@ from phasebc import protocol as proto
 from phasebc import transport as tp
 from phasebc.codestates import CodeParams, build_D, build_sigma
 from phasebc.fock import FockOperator, helstrom_success, trace_norm
-from phasebc.mayers import build_kit, outcome_distribution, steering_table, switch_fidelities
+from phasebc.mayers import build_kit
 from phasebc.phasespace import GridSpec, stellar_polynomial, wigner_sigma
 from phasebc.security import (
     epsilon_secure_check,
@@ -22,7 +22,8 @@ from phasebc.security import (
     trace_norm_bound,
 )
 
-from oracles import class_vectors, dense_povm
+from oracles import (class_vectors, dense_povm, outcome_distribution, purification_matrix,
+                     steering_table, switch_fidelities)
 
 GRID_T = (0.5, 1.0, 2.0)
 GRID_M = (6, 8, 12, 16, 24)
@@ -90,9 +91,9 @@ def test_criterion_5_mayers_kit():
     for M in (2, 3, 4, 6):
         params = CodeParams.from_energy(1.0, M)
         kit = build_kit(params)
-        d = kit.dim
+        d = params.cutoff + 1
         for b in (0, 1):
-            psi = kit.purification_matrix(b)
+            psi = purification_matrix(kit, b)
             sigma = build_sigma(b, params).matrix
             for marginal in (psi @ psi.conj().T, psi.T @ psi.conj()):
                 assert trace_norm(FockOperator(params.cutoff,

@@ -143,8 +143,9 @@ class TestUsageErrors:
         ["wigner", "--points", "1"],
         ["plan", "-E", "0"],
         ["plan", "-t", "0"],
-        ["mayers", "-M", "16"],
-        ["mayers", "-t", "3"],
+        # one past the grid order cap, and an energy whose density cutoff passes 2^22
+        ["mayers", "-M", str(cli._MAX_ORDER + 1)],
+        ["mayers", "-E", "4200000"],
         ["plan", "-t", "1e-170"],
         ["plan", "-E", "1e-320"],
         ["bounds", "-t", "1e200"],
@@ -157,6 +158,15 @@ class TestUsageErrors:
         ["simulate", "-k", str(cli._MAX_MODES + 1)],
         ["wigner", "--points", str(cli._MAX_POINTS + 1)],
         ["wigner", "-M", str(cli._MAX_MIXTURE + 1)],
+        ["simulate", "-M", str(cli._MAX_ORDER + 1)],
+        ["bounds", "-M", str(cli._MAX_ORDER + 1)],
+        ["plan", "--scan-limit", str(cli._MAX_SCAN + 1)],
+        # an order beyond int64 once reached rng.integers and _by_class
+        ["simulate", "-M", "100000000000000000000", "-n", "1"],
+        ["bounds", "-M", "100000000000000000000"],
+        # a scan limit below 2 once ran no scan and exited 1
+        ["plan", "--scan-limit", "-5"],
+        ["plan", "--scan-limit", "1"],
         # k beyond the double range, which pcb_bound multiplies into a float
         pytest.param(["bounds", "-k", str(10 ** 309)], id="bounds -k 10**309"),
         # options one networked session would ignore, even at their defaults
@@ -208,12 +218,17 @@ class TestAllocationCaps:
         ("simulate", "-k", cli._MAX_MODES),
         ("wigner", "--points", cli._MAX_POINTS),
         ("wigner", "-M", cli._MAX_MIXTURE),
-    ], ids=["simulate -k", "wigner --points", "wigner -M"])
+        ("simulate", "-M", cli._MAX_ORDER),
+        ("bounds", "-M", cli._MAX_ORDER),
+        ("mayers", "-M", cli._MAX_ORDER),
+        ("plan", "--scan-limit", cli._MAX_SCAN),
+    ], ids=["simulate -k", "wigner --points", "wigner -M", "simulate -M", "bounds -M",
+            "mayers -M", "plan --scan-limit"])
     def test_cap_checked_at_parse_time(self, command, option, cap, capsys):
         # parse_args alone: no command body runs at the cap
         parser = cli.build_parser()
         args = parser.parse_args([command, option, str(cap)])
-        assert vars(args)[option.lstrip("-")] == cap
+        assert vars(args)[option.lstrip("-").replace("-", "_")] == cap
         with pytest.raises(SystemExit) as err:
             parser.parse_args([command, option, str(cap + 1)])
         assert err.value.code == 2
@@ -224,7 +239,13 @@ class TestAllocationCaps:
           "--format", "structured"], 5000, cli._MAX_MODES),
         (["wigner", "--points", "101"], 101 ** 2, cli._MAX_POINTS ** 2),
         (["wigner", "--points", "2", "-M", "20000"], 20000, cli._MAX_MIXTURE),
-    ], ids=["simulate -k", "wigner --points", "wigner -M"])
+        (["mayers", "-M", "80000"], 80000, cli._MAX_ORDER),
+        # density cutoff 104,141 at E = 1e5, against the cap of 2^22 photon numbers
+        (["mayers", "-E", "100000", "-M", "2"], 104141, cli._MAX_CUTOFF),
+        # the plan at t = 30 is M = 4923, after scanning 4922 orders
+        (["plan", "-t", "30", "--scan-limit", "10000"], 4922, cli._MAX_SCAN),
+    ], ids=["simulate -k", "wigner --points", "wigner -M", "mayers -M", "mayers -E",
+            "plan --scan-limit"])
     def test_cap_keeps_budget(self, argv, size, cap, tmp_path):
         # the traced peak at a small size, scaled to the cap, stays near the budget
         argv = argv + ["--out", str(tmp_path / "out")]
@@ -241,10 +262,11 @@ class TestAllocationCaps:
 
 
 def test_import_leaves_out_lazy_modules():
-    # scipy.linalg (expm) and fractions (exact plan k) load only when used
+    # scipy.linalg (expm), scipy.special (Poisson tails, log-gamma and the simulate
+    # interval) and fractions (exact plan k) load only when used
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys, phasebc.cli; "
-            "print(sorted({'scipy.linalg', 'fractions'} & set(sys.modules)))")
+    code = ("import sys, phasebc.cli; print(sorted("
+            "{'scipy.linalg', 'scipy.special', 'fractions'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out == "[]\n"
@@ -331,6 +353,25 @@ class TestMayers:
         assert doc["steering_min_fidelity_0"] >= 1 - 1e-8
         assert doc["switch_fidelity_two_sided"] >= 1 - 1e-8
         assert sorted(doc["steering_map_1"]) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("argv", [["-E", "1", "-M", "20"], ["-E", "16", "-M", "64"],
+                                      ["-t", "100", "-M", "512"]], ids=" ".join)
+    def test_passes_beyond_the_old_limits(self, argv, capsys):
+        code, out = run_cli(["mayers", *argv, "--format", "structured"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        for b in (0, 1):
+            assert doc[f"steering_bijective_{b}"] is True
+            assert doc[f"steering_min_fidelity_{b}"] >= 1 - 1e-8
+
+    def test_vacuum_fails_steering(self, capsys):
+        # at E = 0 every code state is the vacuum: all tie, argmax takes the first
+        code, out = run_cli(["mayers", "-E", "0", "-M", "4", "--format", "structured"],
+                            capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["steering_map_0"] == doc["steering_map_1"] == [0, 0, 0, 0]
+        assert doc["steering_bijective_0"] is False and doc["steering_bijective_1"] is False
 
 
 class TestWigner:

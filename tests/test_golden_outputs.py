@@ -2,9 +2,10 @@
 
 A change that is meant to keep the program's output must leave these
 unchanged.  Most commands are pinned by the sha256 of their stdout; the
-mayers reports come from dense eigensolvers whose last bits depend on the
-BLAS, so their parsed fields are compared instead: maps and flags exactly,
-floats within 1e-12.
+mayers reports were recorded from dense eigensolvers whose last bits
+depend on the BLAS, and are now computed from closed forms that differ
+from them at the 1e-16 level, so their parsed fields are compared instead:
+maps and flags exactly, floats within 1e-12.
 """
 
 import hashlib

@@ -1,21 +1,26 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
 from phasebc.codestates import CodeParams, build_sigma, code_amplitude, eigen_sigma
 from phasebc.fock import FockOperator, coherent_vector, trace_norm
-from phasebc.mayers import (
-    build_kit,
+from phasebc.mayers import build_kit, verification_report
+
+from oracles import (
     build_purification,
     build_U,
     conditional_bob_state,
+    dense_povm,
+    dense_report,
+    normalized_vector,
     outcome_distribution,
+    purification_matrix,
     steering_table,
     switch_fidelities,
-    verification_report,
 )
-
-from oracles import dense_povm, normalized_vector
 
 M_GRID = [2, 3, 4, 6]
 
@@ -41,8 +46,7 @@ class TestPurification:
     @pytest.mark.parametrize("b", [0, 1])
     def test_both_marginals_equal_sigma(self, M, b):
         params = params_for(M)
-        kit = build_kit(params)
-        psi = kit.purification_matrix(b)
+        psi = purification_matrix(build_kit(params), b)
         sigma = build_sigma(b, params).matrix
         for marginal in (psi @ psi.conj().T, psi.T @ psi.conj()):
             residual = trace_norm(FockOperator(params.cutoff, marginal - sigma))
@@ -50,8 +54,8 @@ class TestPurification:
 
     def test_schmidt_coefficients(self):
         params = params_for(4)
-        kit = build_kit(params)
-        singular = np.linalg.svd(kit.purification_matrix(0), compute_uv=False)
+        singular = np.linalg.svd(purification_matrix(build_kit(params), 0),
+                                 compute_uv=False)
         lam = np.sort(eigen_sigma(0, params)[0])[::-1]
         assert np.abs(np.sort(singular ** 2)[::-1][: params.M] - lam).max() < 1e-10
 
@@ -59,9 +63,8 @@ class TestPurification:
         from phasebc.fock import partial_trace
 
         params = params_for(3)
-        kit = build_kit(params)
-        d = kit.dim
-        joint = kit.purification0.outer()
+        d = params.cutoff + 1
+        joint = build_purification(0, params).outer()
         sigma = build_sigma(0, params).matrix
         for keep in (0, 1):
             reduced = partial_trace(joint, (d, d), keep=keep)
@@ -135,9 +138,9 @@ class TestSwitchFidelities:
     def test_global_phase_invariance(self):
         params = params_for(3)
         kit = build_kit(params)
-        psi0 = kit.purification_matrix(0)
-        psi1 = kit.purification_matrix(1)
-        u = kit.U.matrix
+        psi0 = purification_matrix(kit, 0)
+        psi1 = purification_matrix(kit, 1)
+        u = build_U(params).matrix
         for phase in (1.0, np.exp(0.7j)):
             up = phase * u
             assert abs(abs(np.vdot(psi1, up @ psi0 @ up.T))
@@ -167,7 +170,7 @@ class TestPovm:
     @pytest.mark.parametrize("M", M_GRID)
     def test_completeness_with_remainder(self, M):
         kit = build_kit(params_for(M))
-        d = kit.dim
+        d = kit.params.cutoff + 1
         for povm in (dense_povm(kit, 0), dense_povm(kit, 1)):
             total = sum(t.matrix for t in povm)
             assert np.abs(total - np.eye(d)).max() <= 1e-8
@@ -202,7 +205,7 @@ class TestSteering:
         # reference: recover chi from each projector, one code state at a time
         params = params_for(M)
         kit = build_kit(params)
-        psi = kit.purification_matrix(b)
+        psi = purification_matrix(kit, b)
         povm = dense_povm(kit, b)
         for m in range(M):
             chi = np.linalg.eigh(povm[m].matrix)[1][:, -1]
@@ -232,7 +235,7 @@ class TestReceiverMarginalInvariance:
         # the receiver cannot tell whether (or which way) the sender measured
         params = params_for(4)
         kit = build_kit(params)
-        psi = kit.purification_matrix(0)
+        psi = purification_matrix(kit, 0)
         sigma0 = build_sigma(0, params).matrix
         if which == "nothing":
             reduced = psi.T @ psi.conj()
@@ -244,12 +247,40 @@ class TestReceiverMarginalInvariance:
         assert np.abs(reduced - sigma0).max() <= 1e-8
 
 
+# (E, M) points at which the closed-form report is checked against the dense one;
+# E = 0 ties every code state, and at 0.0225 (t = 0.15) and 0.09 sectors drop
+ORACLE_POINTS = [(1, 2), (1, 4), (1, 8), (4, 3), (0.3, 6), (4, 8), (9, 16), (0.0225, 8),
+                 (1, 20), (16, 64), (0.09, 12), (2.25, 5), (0, 4), (25, 7), (64, 64)]
+# the grid order, cutoff, steering maps and flags; every other field is a float
+EXACT = ("M", "cutoff", "steering_map_0", "steering_map_1",
+         "steering_bijective_0", "steering_bijective_1")
+
+
 class TestKit:
-    def test_scale_limits(self):
-        with pytest.raises(ValueError):
-            build_kit(CodeParams.from_energy(9.0, 4))
-        with pytest.raises(ValueError):
-            build_kit(CodeParams.from_energy(1.0, 12))
+    @pytest.mark.parametrize("energy, M", ORACLE_POINTS)
+    def test_report_matches_dense_oracle(self, energy, M):
+        params = CodeParams.from_energy(energy, M)
+        report = verification_report(params)
+        expected = dense_report(params)
+        assert list(report) == list(expected)
+        for key, value in expected.items():
+            if key in EXACT:
+                assert json.dumps(report[key]) == json.dumps(value), key
+            else:
+                np.testing.assert_allclose(report[key], value, rtol=0.0, atol=1e-12,
+                                           err_msg=key)
+
+    def test_report_memory_is_linear(self):
+        # t = 100, M = 512: the dense (N+1)^2 purification alone would take 2 GB
+        params = CodeParams.from_energy(1e4, 512)
+        tracemalloc.start()
+        try:
+            report = verification_report(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["steering_bijective_0"] and report["steering_bijective_1"]
+        assert peak <= 100 * (params.cutoff + 1 + params.M)
 
     def test_report_document(self):
         report = verification_report(params_for(4))
@@ -271,7 +302,7 @@ class TestBitChecks:
     @pytest.mark.parametrize("b", [7, -1, True, 0.0])
     def test_purification_matrix(self, b):
         with pytest.raises(ValueError, match="bit must be 0 or 1"):
-            build_kit(params_for(4)).purification_matrix(b)
+            purification_matrix(build_kit(params_for(4)), b)
 
     @pytest.mark.parametrize("b", [2, True])
     def test_build_purification(self, b):
