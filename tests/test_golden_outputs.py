@@ -3,8 +3,8 @@
 A change that is meant to keep the program's output must leave these
 unchanged.  Most commands are pinned by the sha256 of their stdout; the
 mayers reports were recorded from dense eigensolvers whose last bits
-depend on the BLAS, and are now computed from closed forms that differ
-from them at the 1e-16 level, so their parsed fields are compared instead:
+depend on the BLAS, and the closed forms that compute them agree with
+those only to within 1e-15, so their parsed fields are compared instead:
 maps and flags exactly, floats within 1e-12.
 """
 
