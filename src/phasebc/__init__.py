@@ -1,47 +1,31 @@
 """Phase-encoded coherent-state bit commitment: numerics and simulation.
 
 Layout:
-  fock        truncated Fock-space linear algebra and photon statistics
-  codestates  the protocol's state family and its eigensystem
-  protocol    commit/open state machines and acceptance laws
+  fock        truncated Fock-space vectors and the Poisson photon-number weights
+  codestates  the protocol's code book and the eigensystem of its code states
+  protocol    commit/open state machines and the displace-and-count check
   security    cheating bounds, epsilon-security, parameter search
   mayers      delayed-choice attack kit and its closed-form verification
-  phasespace  Wigner grids and stellar-polynomial root analysis
+  phasespace  Wigner grids and the stellar polynomial
   transport   wire schema and two-party session runner
   cli         command-line entry points
+
+Dense operators that only tests compare against live in tests/oracles.py.
 """
 
-from .codestates import (
-    CodeParams,
-    build_D,
-    build_ideal_rho,
-    build_sigma,
-    build_sigma_mixture,
-    code_phase,
-    eigen_sigma,
-)
+from .codestates import CodeParams, code_phases, eigen_sigma
 from .fock import (
     FockOperator,
     FockVector,
     coherent_vector,
     cutoff_for_energy,
     density_cutoff,
-    displacement_matrix,
-    helstrom_success,
-    overlap_prob,
-    partial_trace,
-    sample_photon_count,
-    tensor_operators,
-    tensor_vectors,
-    trace_norm,
 )
 from .mayers import MayersKit, build_kit, verification_report
 from .phasespace import (
     GridSpec,
     WignerGrid,
-    root_report,
     stellar_polynomial,
-    stellar_roots,
     wigner_mixture,
     wigner_sigma,
 )
@@ -62,7 +46,6 @@ from .security import (
     epsilon_secure_check,
     find_params,
     numeric_trace_norm_check,
-    pca_approx,
     pca_exact,
     pcb_bound,
     security_report,
@@ -77,7 +60,6 @@ from .transport import (
     decode_line,
     decode_stream,
     encode,
-    run_protocol,
     run_session,
 )
 

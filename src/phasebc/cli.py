@@ -232,11 +232,12 @@ def cmd_simulate(args) -> int:
         sys.stdout.buffer.write(transcript.to_bytes())
         return 0 if transcript.verdict and transcript.verdict.accepted else 1
 
+    receiver = transport.BobStrategy()
     accepted = 0
     first = None
     for i in range(args.sessions):
-        transcript = transport.run_protocol(strategy, params, seed=(args.seed, i),
-                                            session_id=f"session-{i}")
+        transcript = transport.run_session(strategy, receiver, params, seed=(args.seed, i),
+                                           session_id=f"session-{i}")
         if first is None:
             first = transcript
         if transcript.verdict and transcript.verdict.accepted:
@@ -280,20 +281,20 @@ def cmd_plan(args) -> int:
     except security.SearchExhausted as exc:
         sys.stderr.write(f"search exhausted: {exc}\n")
         return 1
-    rows = [security.plan_row(args.epsilon, t, M) for M in range(2, plan.M + 1)]
+    row = plan.rows[-1]
     doc = {
         "epsilon": args.epsilon,
         "t": t,
         "M": plan.M,
         "k": plan.k,
-        "k_min": plan.row.k_min,
-        "k_max": plan.row.k_max,
-        "log10_k_max": plan.row.log10_k_max,
-        "m_cubed_in_window": plan.row.m_cubed_in_window,
+        "k_min": row.k_min,
+        "k_max": row.k_max,
+        "log10_k_max": row.log10_k_max,
+        "m_cubed_in_window": row.m_cubed_in_window,
         "scanned": [
             {"M": r.M, "k_min": r.k_min, "log10_k_max": r.log10_k_max,
              "nonempty": r.nonempty, "m_cubed_in_window": r.m_cubed_in_window}
-            for r in rows
+            for r in plan.rows
         ],
     }
     _emit(render_document(doc, args.format), args.out)

@@ -2,22 +2,21 @@
 
 The sender encodes a bit b by picking a coherent amplitude t*exp(i*theta)
 with theta on an M-point phase grid, offset by half a step when b = 1.
-This module builds the uniform mixtures over the grid (the average code
-states), the fully phase-averaged diagonal state, their difference, and
-the eigensystem of the average code states grouped by photon-number
-residue classes mod M.
+This module holds the code book (the phase of each grid index) and the
+eigensystem of the average code states sigma_b, the uniform mixtures over
+the grid, grouped by photon-number residue classes mod M.  The dense
+sigma_b, the phase-averaged state and their difference are test oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (FockOperator, _log_poisson_weights, coherent_vector, density_cutoff,
-                   poisson_weights)
+from .fock import _log_poisson_weights, density_cutoff
 
 
 @dataclass(frozen=True)
@@ -73,20 +72,6 @@ def code_phases(m, b: int, M: int) -> np.ndarray:
     return 2.0 * math.pi * (m + b / 2.0) / M
 
 
-def code_phase(m: int, b: int, M: int) -> float:
-    """Phase angle of one code amplitude; see code_phases."""
-    return float(code_phases(m, b, M))
-
-
-def code_amplitude(m: int, b: int, t: float, M: int) -> complex:
-    return t * cmath.exp(1j * code_phase(m, b, M))
-
-
-def build_ideal_rho(t: float, cutoff: int) -> FockOperator:
-    """Phase-averaged coherent state: diagonal Poisson mixture."""
-    return FockOperator(cutoff, np.diag(poisson_weights(t * t, cutoff)).astype(complex))
-
-
 def _by_class(values: np.ndarray, M: int) -> np.ndarray:
     """Photon-number values in class-major layout, shape (M, ceil(len/M)).
 
@@ -100,42 +85,6 @@ def _by_class(values: np.ndarray, M: int) -> np.ndarray:
 def _signs(b: int, params: CodeParams) -> np.ndarray:
     """(-1)^{b j} at photon number r + jM: the phase e^{i pi b j} of sigma_b, exactly."""
     return 1 - 2 * (b * (np.arange(params.cutoff + 1) // params.M) % 2)
-
-
-def _sigma_entries(params: CodeParams, b: int) -> np.ndarray:
-    """<m|sigma_b|n> = e^{-t^2} t^{m+n}/sqrt(m! n!) (-1)^{b (m-n)/M} on the
-    stride-M off-diagonals (m = n mod M), exactly zero elsewhere."""
-    half = _log_poisson_weights(params.energy, params.cutoff) / 2.0
-    signs = _signs(b, params)
-    r = np.arange(params.cutoff + 1) % params.M
-    return np.where(r[:, None] == r, np.outer(signs, signs) * np.exp(half[:, None] + half), 0.0)
-
-
-def build_sigma(b: int, params: CodeParams) -> FockOperator:
-    """Average code state for bit b from its explicit matrix elements."""
-    _check_bit(b)
-    return FockOperator(params.cutoff, _sigma_entries(params, b))
-
-
-def build_sigma_mixture(b: int, params: CodeParams) -> FockOperator:
-    """Same state built the defining way: uniform mixture of the M code states."""
-    d = params.cutoff + 1
-    acc = np.zeros((d, d), dtype=complex)
-    for m in range(params.M):
-        v = coherent_vector(code_amplitude(m, b, params.t, params.M), params.cutoff)
-        acc += np.outer(v.amps, v.amps.conj())
-    return FockOperator(params.cutoff, acc / params.M)
-
-
-def build_D(params: CodeParams) -> FockOperator:
-    """Difference between the phase-averaged state and sigma_0.
-
-    The diagonals cancel exactly, leaving minus the stride-M off-diagonal
-    part of sigma_0.
-    """
-    mat = -_sigma_entries(params, 0)
-    np.fill_diagonal(mat, 0.0)
-    return FockOperator(params.cutoff, mat)
 
 
 def eigen_sigma(b: int, params: CodeParams) -> tuple[np.ndarray, np.ndarray]:

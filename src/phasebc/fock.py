@@ -1,10 +1,10 @@
 """Truncated single-mode Fock-space numerics.
 
-Dense complex linear algebra on span{|0>, ..., |N>}: coherent states,
-displacement operators, trace norm, Helstrom discrimination, photon
-counting, tensor products and partial traces.  Everything here is a pure
-function of its inputs; stochastic operations take an explicit seeded
-``numpy.random.Generator``, so identical seeds give identical results.
+Vectors and operators on span{|0>, ..., |N>}, the truncation policy for a
+given energy, and the Poisson photon-number weights from which every
+coherent amplitude is built.  Everything here is a pure function of its
+inputs.  The dense operators the package does not use (displacement, trace
+norm, Helstrom success) are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -15,10 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Numeric tolerances: double precision headroom over truncation error.
-HERMITICITY_TOL = 1e-12
-EIGENVALUE_FLOOR = -1e-10
-TRACE_TOL = 1e-9
+# rounding headroom on the squared norm of a truncated state
 NORM_SLACK = 1e-9
 
 
@@ -91,23 +88,6 @@ class FockOperator:
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-
-def assert_hermitian(op: FockOperator) -> None:
-    defect = float(np.abs(op.matrix - op.matrix.conj().T).max())
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"operator is not hermitian (defect {defect:.3e})")
-
-
-def assert_density(op: FockOperator) -> None:
-    """Check hermiticity, positivity and unit trace of a density."""
-    assert_hermitian(op)
-    eigs = np.linalg.eigvalsh(op.matrix)
-    if eigs.min() < EIGENVALUE_FLOOR:
-        raise ValueError(f"negative eigenvalue {eigs.min():.3e}")
-    tr = float(np.trace(op.matrix).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace {tr} deviates from 1")
 
 
 def cutoff_for_energy(energy: float, tail_tol: float) -> int:
@@ -215,85 +195,3 @@ def coherent_vector(alpha: complex, cutoff: int) -> FockVector:
 def poisson_weights(energy: float, cutoff: int) -> np.ndarray:
     """Photon number distribution e^-E E^n / n! for n = 0..cutoff."""
     return np.exp(_log_poisson_weights(energy, cutoff))
-
-
-def overlap_prob(alpha: complex, beta: complex) -> float:
-    """|<alpha|beta>|^2 = exp(-|alpha-beta|^2) for coherent states."""
-    return math.exp(-abs(complex(alpha) - complex(beta)) ** 2)
-
-
-def annihilation_matrix(cutoff: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=np.float64)), k=1).astype(
-        np.complex128
-    )
-
-
-def displacement_matrix(beta: complex, cutoff: int) -> FockOperator:
-    """Displacement operator on the truncated space.
-
-    Built as the matrix exponential of the truncated generator
-    beta*a^dag - conj(beta)*a.  Exact only in the limit of large cutoff;
-    accurate on the low-photon-number subspace (see the unitarity checks
-    in the tests).
-    """
-    from scipy.linalg import expm  # only caller; keeps scipy.linalg off the import path
-
-    beta = complex(beta)
-    a = annihilation_matrix(cutoff)
-    gen = beta * a.conj().T - beta.conjugate() * a
-    return FockOperator(cutoff, expm(gen))
-
-
-def trace_norm(op: FockOperator) -> float:
-    """Sum of absolute eigenvalues of a hermitian operator."""
-    assert_hermitian(op)
-    return float(np.abs(np.linalg.eigvalsh(op.matrix)).sum())
-
-
-def helstrom_success(rho0: FockOperator, rho1: FockOperator) -> float:
-    """Optimal success probability of discriminating two equiprobable states."""
-    if rho0.cutoff != rho1.cutoff:
-        raise ValueError("cutoff mismatch")
-    assert_density(rho0)
-    assert_density(rho1)
-    diff = FockOperator(rho0.cutoff, rho0.matrix - rho1.matrix)
-    return 0.5 + trace_norm(diff) / 4.0
-
-
-def sample_photon_count(alpha: complex, rng: np.random.Generator) -> int:
-    """Photon-number measurement on |alpha>: Poisson with mean |alpha|^2."""
-    return int(rng.poisson(abs(complex(alpha)) ** 2))
-
-
-def tensor_vectors(vectors: list[FockVector]) -> FockVector:
-    if not vectors:
-        raise ValueError("empty tensor product")
-    amps = vectors[0].amps
-    for v in vectors[1:]:
-        amps = np.kron(amps, v.amps)
-    return FockVector(amps.shape[0] - 1, amps)
-
-
-def tensor_operators(ops: list[FockOperator]) -> FockOperator:
-    if not ops:
-        raise ValueError("empty tensor product")
-    m = ops[0].matrix
-    for op in ops[1:]:
-        m = np.kron(m, op.matrix)
-    return FockOperator(m.shape[0] - 1, m)
-
-
-def partial_trace(op: FockOperator, dims: tuple[int, int],
-                  keep: int) -> FockOperator:
-    """Reduce a bipartite operator to the kept subsystem (0 = first)."""
-    d0, d1 = dims
-    if d0 * d1 != op.dim:
-        raise ValueError(f"dims {dims} incompatible with dimension {op.dim}")
-    if keep not in (0, 1):
-        raise ValueError("keep must be 0 or 1")
-    m = op.matrix.reshape(d0, d1, d0, d1)
-    if keep == 0:
-        red = np.einsum("ikjk->ij", m)
-        return FockOperator(d0 - 1, red)
-    red = np.einsum("kikj->ij", m)
-    return FockOperator(d1 - 1, red)

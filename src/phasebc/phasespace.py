@@ -2,8 +2,8 @@
 
 Wigner grids for mixtures of coherent states (a Gaussian bump per mixture
 point, normalized to unit integral) and the stellar polynomial of a
-truncated state whose root structure measures how far the state is from
-Gaussian reach.
+truncated state, whose root at the origin has multiplicity r for the
+class-r eigenvector of the average code state.
 """
 
 from __future__ import annotations
@@ -138,57 +138,3 @@ def stellar_polynomial(v: FockVector) -> StellarPolynomial:
         raise ValueError("zero state has no stellar polynomial")
     n = np.arange(nz[-1] + 1)
     return StellarPolynomial(c[: nz[-1] + 1] * np.exp(-0.5 * gammaln(n + 1)))
-
-
-def stellar_roots(poly: StellarPolynomial, radius: float) -> np.ndarray:
-    """Roots inside |alpha| <= radius, origin multiplicity included.
-
-    Found as companion-matrix eigenvalues of the polynomial with the
-    origin factor alpha^mult divided out.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    mult = poly.origin_multiplicity()
-    reduced = poly.coeffs[mult:]
-    roots = np.zeros(0, dtype=complex)
-    if reduced.size > 1:
-        roots = np.polynomial.polynomial.polyroots(reduced)
-    roots = np.concatenate([np.zeros(mult, dtype=complex), roots])
-    inside = roots[np.abs(roots) <= radius]
-    return inside[np.lexsort((inside.imag, inside.real, np.abs(inside)))]
-
-
-def default_root_radius(v: FockVector) -> float:
-    """sqrt(N) separates physical zeros from truncation artifacts."""
-    return math.sqrt(max(v.cutoff, 1))
-
-
-def cluster_roots(roots: np.ndarray, tol: float = 1e-6) -> list[tuple[complex, int]]:
-    """Greedy clustering of near-coincident roots into (center, size) pairs."""
-    remaining = list(roots)
-    clusters: list[tuple[complex, int]] = []
-    while remaining:
-        seed = remaining.pop(0)
-        members = [seed]
-        rest = []
-        for r in remaining:
-            (members if abs(r - seed) <= tol else rest).append(r)
-        remaining = rest
-        clusters.append((complex(np.mean(members)), len(members)))
-    return clusters
-
-
-def root_report(v: FockVector, radius: float | None = None) -> dict:
-    """Structured root listing for one state vector."""
-    poly = stellar_polynomial(v)
-    r = default_root_radius(v) if radius is None else radius
-    roots = stellar_roots(poly, r)
-    return {
-        "degree": poly.degree,
-        "radius": r,
-        "origin_multiplicity": poly.origin_multiplicity(),
-        "roots": [
-            {"re": float(c.real), "im": float(c.imag), "multiplicity": n}
-            for c, n in cluster_roots(roots)
-        ],
-    }

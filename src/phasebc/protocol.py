@@ -24,6 +24,8 @@ POISSON_RATE_LIMIT = (float(np.iinfo(np.int64).max)
 # |sent - target| of a valid count is within a few ulps of sqrt(4E) and
 # passes; any amplitude that passes squares to below the sampler's limit
 _AMPLITUDE_LIMIT = math.sqrt(POISSON_RATE_LIMIT) * (1.0 + 1e-10)
+# commit draws indices with rng.integers(0, M), whose int64 high is at most 2**63
+_MAX_ORDER = 2 ** 63
 
 
 class ProtocolAbort(Exception):
@@ -49,10 +51,12 @@ class ProtocolParams:
     def __post_init__(self):
         if not (math.isfinite(self.energy) and self.energy >= 0):
             raise ValueError(f"invalid energy {self.energy}")
-        if self.M < 2:
-            raise ValueError(f"modulation order must be >= 2, got {self.M}")
-        if self.k < 1:
-            raise ValueError(f"repetition count must be >= 1, got {self.k}")
+        # exact integers, so that 8.5 is not sent as 8 and True not taken as 1
+        if type(self.M) not in _INT_TYPES or not 2 <= self.M <= _MAX_ORDER:
+            raise ValueError(f"modulation order must be an integer in 2..2**63, "
+                             f"got {self.M!r}")
+        if type(self.k) not in _INT_TYPES or self.k < 1:
+            raise ValueError(f"repetition count must be an integer >= 1, got {self.k!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
         if not 0.0 < self.tau <= 1.0:
@@ -158,7 +162,7 @@ def commit(b: int, params: ProtocolParams,
 
 
 def expected_amplitudes(revealed_b: int, revealed_m, params: ProtocolParams) -> np.ndarray:
-    """t exp(i code_phase(m_j, b, M)) for every m_j, bit for bit, in one array pass.
+    """t exp(i theta_j) for the code phases theta = code_phases(m, b, M), in one array pass.
 
     A bad bit or phase index raises code_phases' ValueError.
     """
@@ -192,47 +196,6 @@ def cheat_open(commitment: Commitment, target_b: int) -> tuple[int, tuple[int, .
     """
     _check_bit(target_b)
     return target_b, commitment.m
-
-
-def residual_energies(params: ProtocolParams, delta_m, committed_b: int,
-                      revealed_b: int) -> np.ndarray:
-    """Per-mode residual energy 4E sin^2(pi (dm + (b - b_hat)/2) / M)."""
-    dm = np.atleast_1d(np.asarray(delta_m, dtype=np.float64))
-    half = (committed_b - revealed_b) / 2.0
-    s = np.sin(math.pi * (dm + half) / params.M)
-    return 4.0 * params.energy * s * s
-
-
-def _per_mode_energies(params: ProtocolParams, delta_m, committed_b: int,
-                       revealed_b: int) -> np.ndarray:
-    energies = residual_energies(params, delta_m, committed_b, revealed_b)
-    if energies.size == 1:
-        return np.full(params.k, float(energies[0]))
-    if energies.size != params.k:
-        raise ValueError(f"offset pattern length {energies.size} != k={params.k}")
-    return energies
-
-
-def acceptance_probability(params: ProtocolParams, delta_m, committed_b: int,
-                           revealed_b: int) -> float:
-    """Closed-form all-zeros probability for a fixed reveal offset pattern.
-
-    A scalar delta_m applies to every mode.
-    """
-    return float(np.exp(-_per_mode_energies(params, delta_m, committed_b,
-                                            revealed_b).sum()))
-
-
-def mc_acceptance(params: ProtocolParams, delta_m, committed_b: int,
-                  revealed_b: int, trials: int, rng: np.random.Generator) -> float:
-    """Monte-Carlo acceptance frequency for a fixed reveal offset pattern.
-
-    Draws the actual per-mode Poisson counts, exactly as bob_verify does,
-    vectorized over trials.
-    """
-    lam = _per_mode_energies(params, delta_m, committed_b, revealed_b)
-    counts = rng.poisson(np.broadcast_to(lam, (trials, params.k)))
-    return float(np.all(counts == 0, axis=1).mean())
 
 
 class AliceStrategy:

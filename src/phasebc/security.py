@@ -130,11 +130,6 @@ def pca_exact(energy: float, k: int, M: int) -> float:
     return math.exp(-energy * k * 4.0 * s * s)
 
 
-def pca_approx(energy: float, k: int, M: int) -> float:
-    """Large-M expansion 1 - E k pi^2 / M^2 of the opening-attack probability."""
-    return 1.0 - energy * k * math.pi ** 2 / (M * M)
-
-
 @dataclass(frozen=True)
 class SecurityCheck:
     ok: bool
@@ -211,11 +206,9 @@ def plan_row(epsilon: float, t: float, M: int) -> PlanRow:
 
 @dataclass(frozen=True)
 class Plan:
-    epsilon: float
-    t: float
     M: int
     k: int
-    row: PlanRow
+    rows: tuple[PlanRow, ...]  # every scanned order, 2..M; the chosen one last
 
 
 def find_params(epsilon: float, t: float, scan_limit: int = 512) -> Plan:
@@ -224,10 +217,11 @@ def find_params(epsilon: float, t: float, scan_limit: int = 512) -> Plan:
         raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"amplitude must be positive, got {t}")
+    rows = []
     for M in range(2, scan_limit + 1):
-        row = plan_row(epsilon, t, M)
-        if row.nonempty:
-            return Plan(epsilon, t, M, row.k_min, row)
+        rows.append(plan_row(epsilon, t, M))
+        if rows[-1].nonempty:
+            return Plan(M, rows[-1].k_min, tuple(rows))
     raise SearchExhausted(
         f"no feasible modulation order up to {scan_limit} for epsilon={epsilon}, t={t}"
     )

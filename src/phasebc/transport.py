@@ -497,13 +497,6 @@ def run_session(alice_strategy: proto.AliceStrategy, bob_strategy: BobStrategy,
     raise ValueError(f"unknown transport {transport!r}")
 
 
-def run_protocol(alice_strategy: proto.AliceStrategy, params: proto.ProtocolParams,
-                 seed=0, session_id: str = "session-0") -> SessionTranscript:
-    """Loopback session with an honest receiver over the default channel."""
-    return run_session(alice_strategy, BobStrategy(), params, seed=seed,
-                       session_id=session_id)
-
-
 def _run_loopback(alice: AliceSession, bob: BobSession) -> SessionTranscript:
     log = alice.start()
     queue = deque([(bob, msg) for msg in log])

@@ -1,12 +1,167 @@
-"""Dense forms that the package keeps only as vectors or class sums, rebuilt for tests."""
+"""References that only tests compare the package against: the dense forms of
+what the package keeps as vectors or class sums, and the closed-form and
+sampled acceptance laws of a fixed reveal offset."""
 
+import cmath
 import math
 
 import numpy as np
 
-from phasebc.codestates import _check_bit, build_sigma, code_phases, eigen_sigma
-from phasebc.fock import FockOperator, FockVector
+from phasebc.codestates import _check_bit, _signs, code_phases, eigen_sigma
+from phasebc.fock import (FockOperator, FockVector, _log_poisson_weights, coherent_vector,
+                          poisson_weights)
 from phasebc.mayers import build_kit
+
+# Numeric tolerances: double precision headroom over truncation error.
+HERMITICITY_TOL = 1e-12
+EIGENVALUE_FLOOR = -1e-10
+TRACE_TOL = 1e-9
+
+
+def assert_hermitian(op):
+    defect = float(np.abs(op.matrix - op.matrix.conj().T).max())
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"operator is not hermitian (defect {defect:.3e})")
+
+
+def assert_density(op):
+    """Check hermiticity, positivity and unit trace of a density."""
+    assert_hermitian(op)
+    eigs = np.linalg.eigvalsh(op.matrix)
+    if eigs.min() < EIGENVALUE_FLOOR:
+        raise ValueError(f"negative eigenvalue {eigs.min():.3e}")
+    tr = float(np.trace(op.matrix).real)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {tr} deviates from 1")
+
+
+def annihilation_matrix(cutoff):
+    return np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=np.float64)), k=1).astype(
+        np.complex128
+    )
+
+
+def displacement_matrix(beta, cutoff):
+    """Displacement operator on the truncated space.
+
+    Built as the matrix exponential of the truncated generator
+    beta*a^dag - conj(beta)*a.  Exact only in the limit of large cutoff;
+    accurate on the low-photon-number subspace (see the unitarity checks
+    in the tests).
+    """
+    from scipy.linalg import expm
+
+    beta = complex(beta)
+    a = annihilation_matrix(cutoff)
+    gen = beta * a.conj().T - beta.conjugate() * a
+    return FockOperator(cutoff, expm(gen))
+
+
+def trace_norm(op):
+    """Sum of absolute eigenvalues of a hermitian operator."""
+    assert_hermitian(op)
+    return float(np.abs(np.linalg.eigvalsh(op.matrix)).sum())
+
+
+def helstrom_success(rho0, rho1):
+    """Optimal success probability of discriminating two equiprobable states."""
+    if rho0.cutoff != rho1.cutoff:
+        raise ValueError("cutoff mismatch")
+    assert_density(rho0)
+    assert_density(rho1)
+    diff = FockOperator(rho0.cutoff, rho0.matrix - rho1.matrix)
+    return 0.5 + trace_norm(diff) / 4.0
+
+
+# The code states as dense matrices
+
+def build_ideal_rho(t, cutoff):
+    """Phase-averaged coherent state: diagonal Poisson mixture."""
+    return FockOperator(cutoff, np.diag(poisson_weights(t * t, cutoff)).astype(complex))
+
+
+def _sigma_entries(params, b):
+    """<m|sigma_b|n> = e^{-t^2} t^{m+n}/sqrt(m! n!) (-1)^{b (m-n)/M} on the
+    stride-M off-diagonals (m = n mod M), exactly zero elsewhere."""
+    half = _log_poisson_weights(params.energy, params.cutoff) / 2.0
+    signs = _signs(b, params)
+    r = np.arange(params.cutoff + 1) % params.M
+    return np.where(r[:, None] == r, np.outer(signs, signs) * np.exp(half[:, None] + half), 0.0)
+
+
+def build_sigma(b, params):
+    """Average code state for bit b from its explicit matrix elements."""
+    _check_bit(b)
+    return FockOperator(params.cutoff, _sigma_entries(params, b))
+
+
+def build_sigma_mixture(b, params):
+    """Same state built the defining way: uniform mixture of the M code states."""
+    d = params.cutoff + 1
+    acc = np.zeros((d, d), dtype=complex)
+    for m in range(params.M):
+        amp = params.t * cmath.exp(1j * float(code_phases(m, b, params.M)))
+        v = coherent_vector(amp, params.cutoff)
+        acc += np.outer(v.amps, v.amps.conj())
+    return FockOperator(params.cutoff, acc / params.M)
+
+
+def build_D(params):
+    """Difference between the phase-averaged state and sigma_0.
+
+    The diagonals cancel exactly, leaving minus the stride-M off-diagonal
+    part of sigma_0.
+    """
+    mat = -_sigma_entries(params, 0)
+    np.fill_diagonal(mat, 0.0)
+    return FockOperator(params.cutoff, mat)
+
+
+# Acceptance laws of the displace-and-count check, without sessions
+
+def residual_energies(params, delta_m, committed_b, revealed_b):
+    """Per-mode residual energy 4E sin^2(pi (dm + (b - b_hat)/2) / M)."""
+    dm = np.atleast_1d(np.asarray(delta_m, dtype=np.float64))
+    half = (committed_b - revealed_b) / 2.0
+    s = np.sin(math.pi * (dm + half) / params.M)
+    return 4.0 * params.energy * s * s
+
+
+def _per_mode_energies(params, delta_m, committed_b, revealed_b):
+    energies = residual_energies(params, delta_m, committed_b, revealed_b)
+    if energies.size == 1:
+        return np.full(params.k, float(energies[0]))
+    if energies.size != params.k:
+        raise ValueError(f"offset pattern length {energies.size} != k={params.k}")
+    return energies
+
+
+def acceptance_probability(params, delta_m, committed_b, revealed_b):
+    """Closed-form all-zeros probability for a fixed reveal offset pattern.
+
+    A scalar delta_m applies to every mode.
+    """
+    return float(np.exp(-_per_mode_energies(params, delta_m, committed_b,
+                                            revealed_b).sum()))
+
+
+def mc_acceptance(params, delta_m, committed_b, revealed_b, trials, rng):
+    """Monte-Carlo acceptance frequency for a fixed reveal offset pattern.
+
+    Draws the actual per-mode Poisson counts, exactly as bob_verify does,
+    vectorized over trials.
+    """
+    lam = _per_mode_energies(params, delta_m, committed_b, revealed_b)
+    counts = rng.poisson(np.broadcast_to(lam, (trials, params.k)))
+    return float(np.all(counts == 0, axis=1).mean())
+
+
+def pca_approx(energy, k, M):
+    """Large-M expansion 1 - E k pi^2 / M^2 of the opening-attack probability."""
+    return 1.0 - energy * k * math.pi ** 2 / (M * M)
+
+
+# The eigensystem and measurements as dense objects
 
 
 def class_vectors(b, params):

@@ -7,11 +7,12 @@ import math
 
 import mpmath as mp
 import numpy as np
+import pytest
 
 from phasebc import protocol as proto
 from phasebc import transport as tp
-from phasebc.codestates import CodeParams, build_D, build_sigma
-from phasebc.fock import FockOperator, helstrom_success, trace_norm
+from phasebc.codestates import CodeParams, _by_class
+from phasebc.fock import FockOperator, poisson_weights
 from phasebc.mayers import build_kit
 from phasebc.phasespace import GridSpec, stellar_polynomial, wigner_sigma
 from phasebc.security import (
@@ -22,8 +23,9 @@ from phasebc.security import (
     trace_norm_bound,
 )
 
-from oracles import (class_vectors, dense_povm, outcome_distribution, purification_matrix,
-                     steering_table, switch_fidelities)
+from oracles import (acceptance_probability, build_D, build_sigma, class_vectors, dense_povm,
+                     helstrom_success, mc_acceptance, outcome_distribution, purification_matrix,
+                     steering_table, switch_fidelities, trace_norm)
 
 GRID_T = (0.5, 1.0, 2.0)
 GRID_M = (6, 8, 12, 16, 24)
@@ -56,8 +58,8 @@ def test_criterion_2_honest_completeness():
     params = proto.ProtocolParams(1.0, 8, 16, tau=1.0)
     n = 10 ** 4
     for i in range(n):
-        transcript = tp.run_protocol(proto.HonestAlice(i % 2), params,
-                                     seed=(2026, i))
+        transcript = tp.run_session(proto.HonestAlice(i % 2), tp.BobStrategy(), params,
+                                    seed=(2026, i))
         assert transcript.verdict is not None and transcript.verdict.accepted
     print(f"criterion 2 PASS: {n}/{n} honest sessions accepted at tau=1")
 
@@ -68,8 +70,8 @@ def test_criterion_3_opening_attack_law():
     for j, (energy, k, M) in enumerate(cases):
         params = proto.ProtocolParams(energy, M, k)
         p = pca_exact(energy, k, M)
-        freq = proto.mc_acceptance(params, 0, 1, 0, n,
-                                   np.random.default_rng(300 + j))
+        freq = mc_acceptance(params, 0, 1, 0, n,
+                             np.random.default_rng(300 + j))
         assert abs(freq - p) <= three_sigma(p, n), (energy, k, M, freq, p)
     print(f"criterion 3 PASS: cheat-open acceptance within 3 sigma of "
           f"exp(-4Ek sin^2(pi/2M)) for {len(cases)} cases, {n} trials each")
@@ -78,7 +80,7 @@ def test_criterion_3_opening_attack_law():
 def test_criterion_4_offset_optimality_brute_force():
     for M in range(3, 13):
         params = proto.ProtocolParams(1.0, M, 1)
-        probs = [proto.acceptance_probability(params, d, 1, 0) for d in range(M)]
+        probs = [acceptance_probability(params, d, 1, 0) for d in range(M)]
         best = max(probs)
         winners = {d for d, p in enumerate(probs) if abs(p - best) < 1e-12}
         assert winners == {0, M - 1}, M
@@ -164,6 +166,20 @@ def test_criterion_7_helstrom_consistency():
     assert rate <= limit
     print(f"criterion 7 PASS: guessing advantage bounded on the grid; "
           f"empirical adversarial rate {rate:.5f} <= {limit:.5f} over {n} sessions")
+
+
+@pytest.mark.parametrize("energy, M", [(1, 2), (1, 8), (4, 3), (0.3, 6), (4, 8), (9, 16),
+                                       (16, 64), (64, 64), (1, 20)])
+def test_helstrom_success_closed_form(energy, M):
+    # On class r, sigma_0 - sigma_1 = 2(|e_r><o_r| + |o_r><e_r|), with e_r and o_r
+    # the amplitudes at n = r + jM for even and odd j, orthogonal with squared
+    # norms E_r and O_r.  Its trace norm is 4 sqrt(E_r O_r), so the Helstrom
+    # success 1/2 + ||sigma_0 - sigma_1||_1 / 4 is 1/2 + sum_r sqrt(E_r O_r).
+    params = CodeParams.from_energy(energy, M)
+    mass = _by_class(poisson_weights(energy, params.cutoff), M)
+    closed = 0.5 + np.sqrt(mass[:, 0::2].sum(axis=1) * mass[:, 1::2].sum(axis=1)).sum()
+    dense = helstrom_success(build_sigma(0, params), build_sigma(1, params))
+    assert abs(closed - dense) <= 1e-14, (closed, dense)
 
 
 def test_criterion_8_phase_space():

@@ -51,11 +51,11 @@ class TestSimulate:
     ])
     def test_exact_interval(self, accepted, n, low, high, capsys, monkeypatch):
         # sessions i < accepted accept; the Wald interval gave 0.0392 at 0/50
-        def run_protocol(strategy, params, seed, session_id):
+        def run_session(strategy, receiver, params, seed, session_id):
             verdict = Verdict(seed[1] < accepted, (0,) if seed[1] < accepted else (1,))
             return SessionTranscript(session_id, (), verdict)
 
-        monkeypatch.setattr(cli.transport, "run_protocol", run_protocol)
+        monkeypatch.setattr(cli.transport, "run_session", run_session)
         code, out = run_cli(["simulate", "-n", str(n), "--format", "structured"], capsys)
         doc = json.loads(out)
         assert code == 0 and doc["accepted"] == accepted
@@ -262,8 +262,8 @@ class TestAllocationCaps:
 
 
 def test_import_leaves_out_lazy_modules():
-    # scipy.linalg (expm), scipy.special (Poisson tails, log-gamma and the simulate
-    # interval) and fractions (exact plan k) load only when used
+    # scipy.special (Poisson tails, log-gamma and the simulate interval) and
+    # fractions (exact plan k) load only when used; scipy.linalg never does
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys, phasebc.cli; print(sorted("
             "{'scipy.linalg', 'scipy.special', 'fractions'} & set(sys.modules)))")

@@ -1,3 +1,4 @@
+import cmath
 import json
 import tracemalloc
 
@@ -5,12 +6,13 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from phasebc.codestates import CodeParams, build_sigma, code_amplitude, eigen_sigma
-from phasebc.fock import FockOperator, coherent_vector, trace_norm
+from phasebc.codestates import CodeParams, code_phases, eigen_sigma
+from phasebc.fock import FockOperator, coherent_vector
 from phasebc.mayers import build_kit, verification_report
 
 from oracles import (
     build_purification,
+    build_sigma,
     build_U,
     conditional_bob_state,
     dense_povm,
@@ -20,6 +22,7 @@ from oracles import (
     purification_matrix,
     steering_table,
     switch_fidelities,
+    trace_norm,
 )
 
 M_GRID = [2, 3, 4, 6]
@@ -58,19 +61,6 @@ class TestPurification:
                                  compute_uv=False)
         lam = np.sort(eigen_sigma(0, params)[0])[::-1]
         assert np.abs(np.sort(singular ** 2)[::-1][: params.M] - lam).max() < 1e-10
-
-    def test_partial_trace_of_purification(self):
-        from phasebc.fock import partial_trace
-
-        params = params_for(3)
-        d = params.cutoff + 1
-        joint = build_purification(0, params).outer()
-        sigma = build_sigma(0, params).matrix
-        for keep in (0, 1):
-            reduced = partial_trace(joint, (d, d), keep=keep)
-            residual = trace_norm(FockOperator(params.cutoff,
-                                               reduced.matrix - sigma))
-            assert residual <= 1e-8
 
     def test_drop_below_floor_reports_mass(self):
         params = CodeParams.from_energy(0.15 ** 2, 8)
@@ -211,9 +201,9 @@ class TestSteering:
             chi = np.linalg.eigh(povm[m].matrix)[1][:, -1]
             cond = psi.T @ chi.conj()
             cond /= np.linalg.norm(cond)
-            fids = [abs(np.vdot(coherent_vector(code_amplitude(mp, b, params.t, M),
-                                                params.cutoff).amps, cond)) ** 2
-                    for mp in range(M)]
+            amps = [params.t * cmath.exp(1j * float(code_phases(mp, b, M))) for mp in range(M)]
+            fids = [abs(np.vdot(coherent_vector(amp, params.cutoff).amps, cond)) ** 2
+                    for amp in amps]
             fid, mp = conditional_bob_state(m, b, params)
             assert mp == int(np.argmax(fids))
             assert abs(fid - max(fids)) <= 1e-12

@@ -1,0 +1,52 @@
+"""The package ships what it runs: every top-level function and class under
+src/phasebc is referenced by other package code or exported by phasebc, and
+the dense references that only tests use live in tests/oracles.py."""
+
+import ast
+from pathlib import Path
+
+import phasebc
+
+PACKAGE = Path(phasebc.__file__).resolve().parent
+
+
+def parse_modules():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def referenced_names(node):
+    """The names a node reads, as Name ids and Attribute attrs (module.f, self.f).
+    Walking the tree leaves out docstrings and comments, which a text search
+    would match."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_definition_is_used_or_exported():
+    modules = parse_modules()
+    exported = {alias.asname or alias.name for node in modules["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    # each top-level statement with the names it reads, so that a definition's
+    # references to itself (recursion, its own methods) do not count
+    statements = [(node, referenced_names(node))
+                  for tree in modules.values() for node in tree.body]
+    unused = sorted(
+        f"{module}.{node.name}"
+        for module, tree in modules.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in exported
+        and not any(node.name in names for other, names in statements if other is not node))
+    assert unused == []
+
+
+def test_no_module_imports_scipy_linalg():
+    # expm was the only user; the displacement oracle keeps it in tests
+    imports = []
+    for module, tree in parse_modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imports += [(module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imports += [(module, f"{node.module}.{alias.name}") for alias in node.names]
+    assert [(m, name) for m, name in imports if name.startswith("scipy.linalg")] == []

@@ -1,6 +1,5 @@
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,11 +8,7 @@ from phasebc.fock import FockVector, coherent_vector
 from phasebc.phasespace import (
     GridSpec,
     StellarPolynomial,
-    cluster_roots,
-    default_root_radius,
-    root_report,
     stellar_polynomial,
-    stellar_roots,
     wigner_mixture,
     wigner_sigma,
 )
@@ -98,18 +93,7 @@ class TestStellarPolynomial:
         v = FockVector(4, np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
         poly = stellar_polynomial(v)
         assert poly.degree == 1
-        roots = stellar_roots(poly, 2.0)
-        assert roots.shape == (1,) and roots[0] == 0.0
-
-    def test_truncated_coherent_has_no_nearby_roots(self):
-        # truncated-exponential zeros sit near |alpha| ~ N/e and beyond
-        v = coherent_vector(1.0, 20)
-        poly = stellar_polynomial(v)
-        assert stellar_roots(poly, 2.0).size == 0
-        # independent high-precision root finder agrees
-        coeffs_high_to_low = [mp.mpf(1) / mp.factorial(n) for n in range(20, -1, -1)]
-        mp_roots = mp.polyroots(coeffs_high_to_low, maxsteps=200, extraprec=120)
-        assert min(abs(complex(r)) for r in mp_roots) > 2.0
+        assert poly.origin_multiplicity() == 1
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_sector_vector_origin_multiplicity(self, r):
@@ -117,34 +101,10 @@ class TestStellarPolynomial:
         v = class_vectors(0, params)[r]
         poly = stellar_polynomial(v)
         assert poly.origin_multiplicity() == r
-        roots = stellar_roots(poly, default_root_radius(v))
-        assert np.sum(roots == 0.0) == r
-
-    def test_root_count_phase_invariant(self):
-        v = coherent_vector(0.8 + 0.3j, 15)
-        base = stellar_roots(stellar_polynomial(v), 3.0)
-        rotated = FockVector(15, np.asarray(v.amps) * np.exp(0.9j))
-        rot = stellar_roots(stellar_polynomial(rotated), 3.0)
-        assert base.size == rot.size
-        if base.size:
-            assert np.abs(np.sort_complex(base) - np.sort_complex(rot)).max() < 1e-9
 
     def test_trailing_zeros_stripped(self):
         v = FockVector(6, np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]))
         assert stellar_polynomial(v).degree == 1
-
-    def test_cluster_roots(self):
-        roots = np.array([0.0, 0.0, 1.0 + 1e-9j, 1.0, 2.0])
-        clusters = cluster_roots(roots, tol=1e-6)
-        sizes = sorted(n for _, n in clusters)
-        assert sizes == [1, 2, 2]
-
-    def test_report(self):
-        v = coherent_vector(1.0, 12)
-        rep = root_report(v)
-        assert rep["origin_multiplicity"] == 0
-        assert rep["degree"] == 12
-        assert isinstance(rep["roots"], list)
 
 
 class TestGridSpec:

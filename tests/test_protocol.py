@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phasebc import protocol as proto
-from phasebc.codestates import code_phase
+from phasebc.codestates import code_phases
 from phasebc.protocol import (
     CheatOpenAlice,
     Commitment,
@@ -12,13 +12,13 @@ from phasebc.protocol import (
     ProtocolParams,
     QuantumPayload,
     Verdict,
-    acceptance_probability,
     bob_verify,
     cheat_open,
     commit,
-    mc_acceptance,
     scale_payload,
 )
+
+from oracles import acceptance_probability, displacement_matrix, mc_acceptance
 
 
 def three_sigma(p, n):
@@ -125,7 +125,7 @@ class TestExpectedAmplitudes:
         params = ProtocolParams(1.7, M, 2 * M)
         m = list(range(M)) * 2
         for b in (0, 1):
-            loop = params.t * np.exp(1j * np.array([code_phase(mj, b, M) for mj in m]))
+            loop = params.t * np.exp(1j * np.array([float(code_phases(mj, b, M)) for mj in m]))
             vectorised = proto.expected_amplitudes(b, m, params)
             assert vectorised.tobytes() == loop.tobytes()
 
@@ -136,7 +136,7 @@ class TestExpectedAmplitudes:
                      (-1, [9, 0, 0, 0])):
             with pytest.raises(ValueError) as loop:
                 for mj in m:
-                    code_phase(mj, b, params.M)
+                    float(code_phases(mj, b, params.M))
             with pytest.raises(ValueError) as vectorised:
                 proto.expected_amplitudes(b, m, params)
             assert str(vectorised.value) == str(loop.value)
@@ -215,7 +215,7 @@ class TestAcceptanceProductLaw:
 class TestDisplaceCountAgainstMatrixRoute:
     def test_zero_count_probability_two_routes(self):
         # the verifier's Poisson shortcut against the truncated-operator route
-        from phasebc.fock import coherent_vector, displacement_matrix
+        from phasebc.fock import coherent_vector
 
         n = 40
         cases = [
@@ -278,6 +278,22 @@ class TestParams:
             ProtocolParams(1.0, 8, 1, tau=0.0)
         with pytest.raises(ValueError):
             ProtocolParams(1.0, 8, 1, epsilon=1.0)
+
+    @pytest.mark.parametrize("M, k", [(10 ** 20, 1), (2 ** 63 + 1, 1), (8.5, 1), (8.0, 1),
+                                      (True, 1), (8, True), (8, 1.0)])
+    def test_order_and_count_are_exact_integers(self, M, k):
+        # a session once raised on 10**20 (rng.integers high out of bounds) and
+        # on k = True, and aborted on 8.5, which HELLO sent as 8
+        with pytest.raises(ValueError, match="must be an integer"):
+            ProtocolParams(1.0, M, k)
+
+    @pytest.mark.parametrize("M", [2 ** 63, np.uint64(2 ** 63), np.int64(8)])
+    def test_largest_order_runs_a_session(self, M):
+        from phasebc import transport as tp
+
+        params = ProtocolParams(1.0, M, 3)
+        transcript = tp.run_session(HonestAlice(1), tp.BobStrategy(), params, seed=1)
+        assert transcript.verdict is not None and transcript.verdict.accepted
 
     @pytest.mark.parametrize("energy, tau", [(1e300, 0.5), (1e19, 1.0), (1.0, 1e-320),
                                              (1.5e308, 1.0)])

@@ -4,9 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from phasebc.codestates import CodeParams, build_D, build_sigma
-from phasebc.fock import (FockOperator, density_cutoff, helstrom_success, poisson_weights,
-                          trace_norm)
+from phasebc.codestates import CodeParams
+from phasebc.fock import FockOperator, density_cutoff, poisson_weights
 from phasebc.security import (
     SearchExhausted,
     TraceNormBound,
@@ -14,13 +13,14 @@ from phasebc.security import (
     epsilon_secure_check,
     find_params,
     numeric_trace_norm_check,
-    pca_approx,
     pca_exact,
     pcb_bound,
     plan_row,
     security_report,
     trace_norm_bound,
 )
+
+from oracles import build_D, build_sigma, helstrom_success, pca_approx, trace_norm
 
 
 class TestTraceNormBound:
@@ -186,7 +186,7 @@ class TestFindParams:
         assert chosen == (20, 1843, 2269)
         plan = find_params(1e-2, 1.0)
         assert (plan.M, plan.k) == (20, 1843)
-        assert plan.row.k_max == 2269
+        assert plan.rows[-1].k_max == 2269
 
     def test_result_passes_check(self):
         for eps in (1e-1, 1e-2, 1e-3):
@@ -201,7 +201,7 @@ class TestFindParams:
     def test_m_cubed_report(self):
         plan = find_params(1e-2, 1.0)
         # 20^3 = 8000 exceeds k_max = 2269, so the standard choice is outside
-        assert plan.row.m_cubed_in_window is False
+        assert plan.rows[-1].m_cubed_in_window is False
         later = plan_row(1e-2, 1.0, 24)
         assert later.nonempty and later.m_cubed_in_window
 

@@ -1,3 +1,4 @@
+import cmath
 import collections
 import hashlib
 import math
@@ -11,11 +12,11 @@ import pytest
 
 from phasebc import protocol as proto
 from phasebc import transport as tp
-from phasebc.codestates import CodeParams, build_sigma, code_amplitude
-from phasebc.fock import coherent_vector, helstrom_success
+from phasebc.codestates import CodeParams, code_phases
+from phasebc.fock import coherent_vector
 from phasebc.security import pcb_bound
 
-from oracles import helstrom_projector
+from oracles import build_sigma, helstrom_projector, helstrom_success
 
 
 def make_params(**kw):
@@ -640,7 +641,8 @@ class TestAdversarialBob:
         # to about eps |diff| / 9e-9, which moves p by up to 8e-13 at |alpha| = 3.
         rng = np.random.default_rng(6)
         M = code.M
-        amps = [code_amplitude(m, b, code.t, M) for m in range(M) for b in (0, 1)]
+        amps = [code.t * cmath.exp(1j * float(code_phases(m, b, M)))
+                for m in range(M) for b in (0, 1)]
         amps += [r * code.t * np.exp(1j * phi) for r in (1.0, 0.5)
                  for phi in rng.uniform(0.0, 2.0 * math.pi, 50)]
         amps += [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
@@ -690,7 +692,8 @@ class TestFullSessionAttackLaw:
         hits = 0
         alice = proto.CheatOpenAlice(0)
         for i in range(n):
-            t = tp.run_protocol(alice, params, seed=(31, i), session_id=f"c{i}")
+            t = tp.run_session(alice, tp.BobStrategy(), params, seed=(31, i),
+                               session_id=f"c{i}")
             hits += int(t.verdict.accepted)
         sigma = math.sqrt(max(p * (1 - p), 1.0 / n) / n)
         assert abs(hits / n - p) <= 3.0 * sigma
