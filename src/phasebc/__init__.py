@@ -58,7 +58,6 @@ from .transport import (
     SessionTranscript,
     WireMessage,
     decode_line,
-    decode_stream,
     encode,
     run_session,
 )

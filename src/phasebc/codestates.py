@@ -19,6 +19,11 @@ import numpy as np
 from .fock import _log_poisson_weights, density_cutoff
 
 
+# Python and NumPy integer types, matched exactly so that bool is not one
+_INT_TYPES = frozenset({int} | {t for t in np.sctypeDict.values()
+                                if issubclass(t, np.integer) and t is not np.timedelta64})
+
+
 @dataclass(frozen=True)
 class CodeParams:
     """Field amplitude t (t^2 = received energy), grid order M, cutoff N."""
@@ -30,10 +35,11 @@ class CodeParams:
     def __post_init__(self):
         if not math.isfinite(self.t) or self.t < 0:
             raise ValueError(f"invalid amplitude t={self.t}")
-        if self.M < 2:
-            raise ValueError(f"modulation order M must be >= 2, got {self.M}")
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be non-negative")
+        # exact integers, as in ProtocolParams: 8.5 and True are refused
+        if type(self.M) not in _INT_TYPES or self.M < 2:
+            raise ValueError(f"modulation order M must be an integer >= 2, got {self.M!r}")
+        if type(self.cutoff) not in _INT_TYPES or self.cutoff < 0:
+            raise ValueError(f"cutoff must be a non-negative integer, got {self.cutoff!r}")
 
     @property
     def energy(self) -> float:
@@ -42,11 +48,6 @@ class CodeParams:
     @classmethod
     def from_energy(cls, energy: float, M: int) -> "CodeParams":
         return cls(math.sqrt(energy), M, density_cutoff(energy))
-
-
-# Python and NumPy integer types, matched exactly so that bool is not one
-_INT_TYPES = frozenset({int} | {t for t in np.sctypeDict.values()
-                                if issubclass(t, np.integer) and t is not np.timedelta64})
 
 
 def _check_bit(b: int) -> int:

@@ -124,9 +124,6 @@ class StellarPolynomial:
     def origin_multiplicity(self) -> int:
         return int(np.flatnonzero(self.coeffs)[0])
 
-    def __call__(self, alpha: complex) -> complex:
-        return complex(np.polynomial.polynomial.polyval(alpha, self.coeffs))
-
 
 def stellar_polynomial(v: FockVector) -> StellarPolynomial:
     """Polynomial sum_n c_n alpha^n / sqrt(n!) with trailing zeros stripped."""

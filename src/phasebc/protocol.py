@@ -90,7 +90,9 @@ class Verdict:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(map(int, self.counts))
+        counts = tuple(self.counts)
+        if not set(map(type, counts)) <= _INT_TYPES:  # int() once made 0.5 a 0
+            raise ValueError(f"photon counts must be integers, got {counts!r}")
         object.__setattr__(self, "counts", counts)
         if self.accepted != (not any(counts)):
             raise ValueError("verdict inconsistent with counts")

@@ -86,14 +86,29 @@ _FLOAT_TYPES = frozenset({float} | {t for t in np.sctypeDict.values()
 _ZERO_TEXT = {"0": "0.0", "-0": "-0.0"}
 
 
-def _float_texts(values: list[float]) -> list[str]:
-    """Python floats at 17 significant digits, by C-level maps over the list."""
-    if not all(map(math.isfinite, values)):
+def _float_text(x: float) -> str:
+    """One Python float at 17 significant digits."""
+    if not math.isfinite(x):
         raise ValueError("non-finite float in message")
-    texts = list(map("{:.17g}".format, values))
-    if 0.0 in values:
+    text = "{:.17g}".format(x)
+    return _ZERO_TEXT.get(text, text)
+
+
+def _float_texts(values: list[float]) -> list[str]:
+    """Python floats at 17 significant digits, each distinct value formatted once.
+
+    An honest COMMIT holds at most M distinct amplitudes among its 2k floats.
+    Values are told apart by bit pattern, which keeps 0.0 apart from -0.0.
+    """
+    bits, inverse = np.unique(np.array(values, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    distinct = bits.view(np.float64)
+    if not np.isfinite(distinct).all():
+        raise ValueError("non-finite float in message")
+    texts = list(map("{:.17g}".format, distinct.tolist()))
+    if not distinct.all():  # a zero, of either sign
         texts = list(map(_ZERO_TEXT.get, texts, texts))
-    return texts
+    return list(map(texts.__getitem__, inverse.tolist()))
 
 
 def _bulk_text(doc: list | tuple) -> str | None:
@@ -126,7 +141,7 @@ def format_document(doc) -> str:
     if isinstance(doc, (int, np.integer)):
         return str(int(doc))
     if isinstance(doc, (float, np.floating)):
-        return _float_texts([float(doc)])[0]
+        return _float_text(float(doc))
     if isinstance(doc, str):
         return json.dumps(doc)
     if isinstance(doc, (list, tuple)):
@@ -152,9 +167,23 @@ def _finite_float(text: str) -> float:
     return x
 
 
+class _FloatLiterals(dict):
+    """The float literals of one line, each parsed and checked once.
+
+    Its bound __getitem__ is json's parse_float: a repeated literal is a
+    dict hit, and a new one goes through _finite_float.  It lives for one
+    line, so it holds at most one entry per literal, and the TCP driver
+    bounds a line by _line_limit.
+    """
+
+    def __missing__(self, text: str) -> float:
+        x = self[text] = _finite_float(text)
+        return x
+
+
 def decode_line(line: bytes, offset: int = 0) -> WireMessage:
     try:
-        doc = json.loads(line.decode("utf-8"), parse_float=_finite_float,
+        doc = json.loads(line.decode("utf-8"), parse_float=_FloatLiterals().__getitem__,
                          parse_constant=_finite_float)
     except ValueError as exc:  # covers UnicodeDecodeError and JSONDecodeError
         raise DecodeError(f"malformed message line: {exc}", offset) from exc
@@ -167,16 +196,6 @@ def decode_line(line: bytes, offset: int = 0) -> WireMessage:
     if not isinstance(session, str):
         raise DecodeError("missing session id", offset)
     return WireMessage(kind, session, doc)
-
-
-def decode_stream(data: bytes) -> list[WireMessage]:
-    messages = []
-    offset = 0
-    for line in data.split(b"\n"):
-        if line:
-            messages.append(decode_line(line, offset))
-        offset += len(line) + 1
-    return messages
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """References that only tests compare the package against: the dense forms of
-what the package keeps as vectors or class sums, and the closed-form and
-sampled acceptance laws of a fixed reveal offset."""
+what the package keeps as vectors or class sums, the closed-form and
+sampled acceptance laws of a fixed reveal offset, and a transcript reader."""
 
 import cmath
 import math
@@ -11,6 +11,7 @@ from phasebc.codestates import _check_bit, _signs, code_phases, eigen_sigma
 from phasebc.fock import (FockOperator, FockVector, _log_poisson_weights, coherent_vector,
                           poisson_weights)
 from phasebc.mayers import build_kit
+from phasebc.transport import decode_line
 
 # Numeric tolerances: double precision headroom over truncation error.
 HERMITICITY_TOL = 1e-12
@@ -300,3 +301,15 @@ def dense_report(params):
     report["switch_fidelity_one_sided"], report["switch_fidelity_two_sided"] = (
         switch_fidelities(params))
     return report
+
+
+def decode_stream(data):
+    """The messages of a transcript's bytes, line by line; a DecodeError
+    carries the byte offset of the line it came from."""
+    messages = []
+    offset = 0
+    for line in data.split(b"\n"):
+        if line:
+            messages.append(decode_line(line, offset))
+        offset += len(line) + 1
+    return messages

@@ -18,6 +18,8 @@ from phasebc import cli
 from phasebc.protocol import Verdict
 from phasebc.transport import SessionTranscript
 
+from oracles import decode_stream
+
 
 def run_cli(argv, capsys):
     code = cli.main(argv)
@@ -77,8 +79,6 @@ class TestSimulate:
         code, _ = run_cli(["simulate", "-E", "1", "-M", "4", "-k", "2", "-n", "3",
                            "--transcript", str(path)], capsys)
         assert code == 0
-        from phasebc.transport import decode_stream
-
         kinds = [m.kind for m in decode_stream(path.read_bytes())]
         assert kinds == ["HELLO", "HELLO", "COMMIT", "OPEN", "VERDICT"]
 

@@ -1,7 +1,8 @@
 """Golden CLI outputs: each command's exit code and stdout, pinned.
 
 A change that is meant to keep the program's output must leave these
-unchanged.  Most commands are pinned by the sha256 of their stdout; the
+unchanged.  Most commands are pinned by the sha256 of their stdout, and two
+simulate runs also by that of the transcript they write; the
 mayers reports were recorded from dense eigensolvers whose last bits
 depend on the BLAS, and the closed forms that compute them agree with
 those only to within 1e-15, so their parsed fields are compared instead:
@@ -36,6 +37,15 @@ DIGESTS = {
         (0, "9fbc74eacf743a5a60cdb06b09179b37bdc6c754a4c19cbaf5c627662b4855b1"),
     "simulate --strategy cheat-open -E 1 -M 4 -k 10 -n 50 --seed 9":
         (0, "6367b2c896d9992d13abf1540c1c5603db617e030bb3ddab934410e9c28be4e0"),
+}
+
+# the sha256 of the --transcript file: the COMMIT at the planner point, and
+# one that is signed zeros throughout
+TRANSCRIPTS = {
+    "simulate -E 1 -M 20 -k 1843 -n 1 --seed 5":
+        "b7c65e3a1daeb335c20d51c78946f0830ce98f09c2fb5be2865af14d4026787f",
+    "simulate -E 0 -M 8 -k 64 -n 1 --seed 5":
+        "20f51363da65661246d8ed6c01d9a52b99941d5706f21013f39ca1ca29a21700",
 }
 
 MAYERS_REPORTS = {
@@ -117,6 +127,13 @@ def run(command, capsys):
 def test_stdout_digest(command, capsys):
     code, out = run(command, capsys)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", TRANSCRIPTS)
+def test_transcript_digest(command, tmp_path):
+    path = tmp_path / "transcript"
+    code = cli.main(command.split() + ["--transcript", str(path)])
+    assert (code, hashlib.sha256(path.read_bytes()).hexdigest()) == (0, TRANSCRIPTS[command])
 
 
 # the grid order, cutoff, steering maps and flags; every other field is a float

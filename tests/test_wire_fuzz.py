@@ -1,10 +1,12 @@
 """Whatever bytes reach an endpoint, it replies, aborts, or the decoder refuses the line.
 
-The bulk paths of the formatter write the same text as formatting one value at a time.
+The bulk paths of the formatter write the same text as formatting one value at a time,
+and the decoder's per-line literal memo reads the same values as parsing each literal.
 """
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,3 +141,51 @@ def test_non_finite_in_a_bulk_list_raises(values, bad, at, as_pairs):
     doc = [[v, v] for v in values] if as_pairs else values
     with pytest.raises(ValueError, match="non-finite float in message"):
         tp.format_document({"amplitudes": doc})
+
+
+# a few distinct values, as an honest COMMIT holds: both signed zeros and the
+# smallest subnormal, then float32 values (as NumPy scalars and as Python
+# floats) and doubles
+pools = st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+    finite,
+), max_size=10).map(lambda values: [0.0, -0.0, 5e-324] + values)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pool=pools, size=st.integers(100, 4000),
+       seed=st.integers(0, 2 ** 32 - 1), as_pairs=st.booleans())
+def test_long_lists_of_repeated_values_match_reference(pool, size, seed, as_pairs):
+    values = [pool[i] for i in np.random.default_rng(seed).integers(len(pool), size=size)]
+    doc = [values[i:i + 2] for i in range(0, size - 1, 2)] if as_pairs else values
+    assert tp.format_document(doc) == reference_format(doc)
+
+
+@pytest.mark.parametrize("bad", ["1e400", "-1e400", "1E+400"])
+def test_non_finite_literal_after_repeats_raises(bad):
+    # the repeated literal is parsed once; the new one still gets the check
+    line = ('{"kind":"COMMIT","session":"s","amplitudes":'
+            f'[[0.5,0.5],[0.5,-0.0],[-0.0,0.5],[0.5,{bad}]]}}\n').encode()
+    with pytest.raises(tp.DecodeError, match=re.escape(f"non-finite number {bad}")):
+        tp.decode_line(line)
+
+
+def per_literal_decode(line: bytes) -> tp.WireMessage:
+    """decode_line as one checked float() per literal: the oracle for the memo."""
+    doc = json.loads(line.decode("utf-8"), parse_float=tp._finite_float,
+                     parse_constant=tp._finite_float)
+    return tp.WireMessage(doc.pop("kind"), doc.pop("session"), doc)
+
+
+@pytest.mark.parametrize("energy, M, k", [(1.0, 20, 1843), (0.0, 8, 64)])
+def test_honest_commit_decodes_as_per_literal_parse(energy, M, k):
+    t = tp.run_session(proto.HonestAlice(0), tp.BobStrategy(),
+                       proto.ProtocolParams(energy, M, k), seed=5)
+    line = tp.encode(next(m for m in t.messages if m.kind == "COMMIT"))
+    got, expected = tp.decode_line(line), per_literal_decode(line)
+    assert got == expected
+    # == takes -0.0 for 0.0, so the sign bits are compared too
+    bits = [np.array(m.body["amplitudes"]).view(np.int64) for m in (got, expected)]
+    assert np.array_equal(*bits)
