@@ -91,7 +91,8 @@ class Verdict:
 
     def __post_init__(self):
         counts = tuple(self.counts)
-        if not set(map(type, counts)) <= _INT_TYPES:  # int() once made 0.5 a 0
+        # exact integer types, so that 0.5 and True are refused, not read as 0 and 1
+        if not set(map(type, counts)) <= _INT_TYPES:
             raise ValueError(f"photon counts must be integers, got {counts!r}")
         object.__setattr__(self, "counts", counts)
         if self.accepted != (not any(counts)):

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from phasebc.codestates import CodeParams, code_phases, eigen_sigma
-from phasebc.mayers import verification_report
-from phasebc.transport import HelstromBob
 
 from oracles import (assert_density, build_D, build_ideal_rho, build_sigma,
                      build_sigma_mixture, class_vectors, trace_norm)
@@ -60,16 +58,9 @@ class TestCodeParams:
     ], ids=["M=8.5", "M=8.0", "M=True", "M='8'", "cutoff=30.0", "cutoff=True",
             "cutoff=np.float64"])
     def test_order_and_cutoff_are_exact_integers(self, M, cutoff):
+        # a float M once reached _by_class, where np.zeros raised TypeError
         with pytest.raises(ValueError, match="integer"):
             CodeParams(1.0, M, cutoff)
-
-    @pytest.mark.parametrize("build", [verification_report, HelstromBob])
-    def test_non_integer_order_is_refused_before_the_class_sums(self, build):
-        # both once ended in a TypeError from np.zeros in _by_class
-        with pytest.raises(ValueError, match="modulation order"):
-            build(CodeParams(1.0, 8.5, 30))
-        with pytest.raises(ValueError, match="modulation order"):
-            build(CodeParams(1.0, 8.0, 30))
 
     def test_numpy_integers_are_accepted(self):
         params = CodeParams(1.0, np.int64(8), np.uint16(30))
