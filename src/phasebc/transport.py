@@ -172,7 +172,7 @@ class _FloatLiterals(dict):
 
     Its bound __getitem__ is json's parse_float: a repeated literal is a
     dict hit, and a new one goes through _finite_float.  It lives for one
-    line, so it holds at most one entry per literal, and the TCP driver
+    line, so it holds at most one entry per literal, and over TCP _drive
     bounds a line by _line_limit.
     """
 
