@@ -2,7 +2,7 @@
 
 Layout:
   fock        truncated Fock-space vectors and the Poisson photon-number weights
-  codestates  the protocol's code book and the eigensystem of its code states
+  codestates  the parameter rules, the code book and the code states' eigensystem
   protocol    commit/open state machines and the displace-and-count check
   security    cheating bounds, epsilon-security, parameter search
   mayers      delayed-choice attack kit and its closed-form verification
@@ -14,13 +14,7 @@ Dense operators that only tests compare against live in tests/oracles.py.
 """
 
 from .codestates import CodeParams, code_phases, eigen_sigma
-from .fock import (
-    FockOperator,
-    FockVector,
-    coherent_vector,
-    cutoff_for_energy,
-    density_cutoff,
-)
+from .fock import FockVector, coherent_vector, cutoff_for_energy, density_cutoff
 from .mayers import MayersKit, build_kit, verification_report
 from .phasespace import (
     GridSpec,

@@ -74,7 +74,8 @@ _POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _PROBABILITY = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 _TRANSMITTIVITY = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
-_POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_HALFWIDTH = _checked(float, lambda v: 0.0 < v and math.isfinite(2.0 * v),
+                      "a number > 0 with 2 * halfwidth finite")
 _ENERGY = _energy_types(lambda e: 0.0 <= e < math.inf, "finite and >= 0")
 # bounds keeps about 46 bytes per photon number up to the density cutoff;
 # at this cap (E up to about 4.1e6) a report peaks near 250 MB
@@ -181,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wigner = sub.add_parser("wigner", help="phase-space grid CSV for sigma_b")
     _add_options(p_wigner, "-M", "--out", order=_MIXTURE_ORDER)
     p_wigner.add_argument("-b", "--bit", type=int, choices=(0, 1), default=0)
-    p_wigner.add_argument("--halfwidth", type=_POSITIVE, default=None)
+    p_wigner.add_argument("--halfwidth", type=_HALFWIDTH, default=None)
     p_wigner.add_argument("--points", type=_GRID_POINTS, default=201)
     return parser
 
@@ -221,14 +222,18 @@ def cmd_simulate(args) -> int:
         raise _UsageError(f"argument -E/-t with --tau: {exc}") from exc
     strategy = _alice_strategy(args)
     if args.listen or args.connect:
-        if args.listen:
-            transcript = transport.serve_single_session(
-                "127.0.0.1", args.listen, transport.BobStrategy(), params,
-                seed=args.seed)
-        else:
-            host, port = args.connect
-            transcript = transport.connect_single_session(
-                host, port, strategy, params, seed=args.seed)
+        try:
+            if args.listen:
+                transcript = transport.serve_single_session(
+                    "127.0.0.1", args.listen, transport.BobStrategy(), params,
+                    seed=args.seed)
+            else:
+                host, port = args.connect
+                transcript = transport.connect_single_session(
+                    host, port, strategy, params, seed=args.seed)
+        except (OSError, transport.ProtocolStateError) as exc:  # no session ran
+            sys.stderr.write(f"session failed: {exc}\n")
+            return 1
         sys.stdout.buffer.write(transcript.to_bytes())
         return 0 if transcript.verdict and transcript.verdict.accepted else 1
 

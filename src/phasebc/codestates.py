@@ -2,16 +2,17 @@
 
 The sender encodes a bit b by picking a coherent amplitude t*exp(i*theta)
 with theta on an M-point phase grid, offset by half a step when b = 1.
-This module holds the code book (the phase of each grid index) and the
-eigensystem of the average code states sigma_b, the uniform mixtures over
-the grid, grouped by photon-number residue classes mod M.  The dense
-sigma_b, the phase-averaged state and their difference are test oracles in
-``tests/oracles.py``.
+This module holds the rules of the parameter domain, the code book (the
+phase of each grid index) and the eigensystem of the average code states
+sigma_b, the uniform mixtures over the grid, grouped by photon-number
+residue classes mod M.  The dense sigma_b, the phase-averaged state and
+their difference are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,49 @@ from .fock import _log_poisson_weights, density_cutoff
 # Python and NumPy integer types, matched exactly so that bool is not one
 _INT_TYPES = frozenset({int} | {t for t in np.sctypeDict.values()
                                 if issubclass(t, np.integer) and t is not np.timedelta64})
+# Python and NumPy float types; bool and the integer types are not among them
+_FLOAT_TYPES = frozenset({float} | {t for t in np.sctypeDict.values()
+                                    if issubclass(t, np.floating)})
+# a real is one of these exact types, so bools and strings are refused
+_REAL_TYPES = _INT_TYPES | _FLOAT_TYPES
+# commit draws indices with rng.integers(0, M), whose int64 high is at most 2**63
+_MAX_ORDER = 2 ** 63
+
+
+# The domain of both security bounds, one rule each.  Comparisons refuse NaN;
+# the upper limits refuse inf and ints beyond a double.
+def _check_nonnegative(x, name: str) -> None:
+    """An amplitude t or an energy E: a finite real >= 0.  Ints are compared exactly;
+    floats are tested as doubles (a float32 compared with the double limit overflows)."""
+    if not (0 <= x <= sys.float_info.max if type(x) in _INT_TYPES
+            else type(x) in _FLOAT_TYPES and x >= 0 and math.isfinite(x)):
+        raise ValueError(f"{name} must be a finite number >= 0, got {x!r}")
+
+
+def _check_order(M, name: str = "modulation order") -> None:
+    """A grid order M: an exact integer in 2..2**63."""
+    if type(M) not in _INT_TYPES or not 2 <= M <= _MAX_ORDER:
+        raise ValueError(f"{name} must be an integer in 2..2**63, got {M!r}")
+
+
+def _check_count(k) -> None:
+    """A repetition count k: an exact integer >= 1 that converts to a double,
+    since the bounds multiply k into one."""
+    if type(k) not in _INT_TYPES or not 1 <= k <= sys.float_info.max:
+        raise ValueError(f"repetition count must be an integer >= 1 in the double range, "
+                         f"got {k!r}")
+
+
+def _check_probability(p, name: str = "epsilon") -> None:
+    """A security parameter or tolerance: a real in (0, 1)."""
+    if type(p) not in _REAL_TYPES or not 0 < p < 1:
+        raise ValueError(f"{name} must be a number in (0, 1), got {p!r}")
+
+
+def _check_transmittivity(tau) -> None:
+    """A channel transmittivity: a real in (0, 1]."""
+    if type(tau) not in _REAL_TYPES or not 0 < tau <= 1:
+        raise ValueError(f"transmittivity must be a number in (0, 1], got {tau!r}")
 
 
 @dataclass(frozen=True)
@@ -33,11 +77,8 @@ class CodeParams:
     cutoff: int
 
     def __post_init__(self):
-        if not math.isfinite(self.t) or self.t < 0:
-            raise ValueError(f"invalid amplitude t={self.t}")
-        # exact integers, as in ProtocolParams: 8.5 and True are refused
-        if type(self.M) not in _INT_TYPES or self.M < 2:
-            raise ValueError(f"modulation order M must be an integer >= 2, got {self.M!r}")
+        _check_nonnegative(self.t, "amplitude t")
+        _check_order(self.M)
         if type(self.cutoff) not in _INT_TYPES or self.cutoff < 0:
             raise ValueError(f"cutoff must be a non-negative integer, got {self.cutoff!r}")
 

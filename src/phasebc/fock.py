@@ -1,9 +1,9 @@
 """Truncated single-mode Fock-space numerics.
 
-Vectors and operators on span{|0>, ..., |N>}, the truncation policy for a
-given energy, and the Poisson photon-number weights from which every
-coherent amplitude is built.  Everything here is a pure function of its
-inputs.  The dense operators the package does not use (displacement, trace
+Vectors on span{|0>, ..., |N>}, the truncation policy for a given energy,
+and the Poisson photon-number weights from which every coherent amplitude
+is built.  Everything here is a pure function of its inputs.  The dense
+operators the package does not use (density matrices, displacement, trace
 norm, Helstrom success) are test oracles in ``tests/oracles.py``.
 """
 
@@ -50,10 +50,6 @@ class FockVector:
             raise ValueError(f"squared norm {n2} exceeds 1")
         object.__setattr__(self, "amps", _readonly(amps))
 
-    @property
-    def dim(self) -> int:
-        return self.cutoff + 1
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
@@ -62,40 +58,13 @@ class FockVector:
             raise ValueError("cutoff mismatch")
         return complex(np.vdot(self.amps, other.amps))
 
-    def outer(self) -> "FockOperator":
-        return FockOperator(self.cutoff, np.outer(self.amps, self.amps.conj()))
-
-
-@dataclass(frozen=True)
-class FockOperator:
-    """Dense complex matrix on the truncated number basis."""
-
-    cutoff: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be non-negative")
-        m = np.array(self.matrix, dtype=np.complex128)
-        d = self.cutoff + 1
-        if m.shape != (d, d):
-            raise ValueError(f"expected {d}x{d} matrix, got shape {m.shape}")
-        object.__setattr__(self, "matrix", _readonly(m))
-
-    @property
-    def dim(self) -> int:
-        return self.cutoff + 1
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
 
 def cutoff_for_energy(energy: float, tail_tol: float) -> int:
     """Smallest N whose Poisson(energy) tail beyond N is below tail_tol."""
-    if not math.isfinite(energy) or energy < 0:
-        raise ValueError(f"invalid energy {energy}")
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    from .codestates import _check_nonnegative, _check_probability  # codestates imports fock
+
+    _check_nonnegative(energy, "energy")
+    _check_probability(tail_tol, "tail_tol")
     # scipy.special is imported where it is used: it is most of the import time
     from scipy.special import gammainc
     # P(X > n) for Poisson(E) is the regularized lower incomplete gamma,

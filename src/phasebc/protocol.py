@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codestates import _INT_TYPES, _check_bit, code_phases
+from .codestates import (_INT_TYPES, _check_bit, _check_count, _check_nonnegative,
+                         _check_order, _check_probability, _check_transmittivity, code_phases)
 
 # NumPy's Poisson sampler rejects a rate above int64 max - 10 sqrt(int64 max);
 # the relative 1e-9 covers the rounding (a few ulps) by which a count's
@@ -24,8 +25,6 @@ POISSON_RATE_LIMIT = (float(np.iinfo(np.int64).max)
 # |sent - target| of a valid count is within a few ulps of sqrt(4E) and
 # passes; any amplitude that passes squares to below the sampler's limit
 _AMPLITUDE_LIMIT = math.sqrt(POISSON_RATE_LIMIT) * (1.0 + 1e-10)
-# commit draws indices with rng.integers(0, M), whose int64 high is at most 2**63
-_MAX_ORDER = 2 ** 63
 
 
 class ProtocolAbort(Exception):
@@ -49,18 +48,11 @@ class ProtocolParams:
     tau: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.energy) and self.energy >= 0):
-            raise ValueError(f"invalid energy {self.energy}")
-        # exact integers, so that 8.5 is not sent as 8 and True not taken as 1
-        if type(self.M) not in _INT_TYPES or not 2 <= self.M <= _MAX_ORDER:
-            raise ValueError(f"modulation order must be an integer in 2..2**63, "
-                             f"got {self.M!r}")
-        if type(self.k) not in _INT_TYPES or self.k < 1:
-            raise ValueError(f"repetition count must be an integer >= 1, got {self.k!r}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"transmittivity must lie in (0,1], got {self.tau}")
+        _check_nonnegative(self.energy, "energy")
+        _check_order(self.M)
+        _check_count(self.k)
+        _check_probability(self.epsilon)
+        _check_transmittivity(self.tau)
         if not 4.0 * self.energy / self.tau <= POISSON_RATE_LIMIT:  # also inf
             raise ValueError(
                 f"4E/tau = {4.0 * self.energy / self.tau!r} exceeds the Poisson "

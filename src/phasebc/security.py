@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codestates import _by_class
+from .codestates import (_by_class, _check_count, _check_nonnegative, _check_order,
+                         _check_probability)
 from .fock import density_cutoff, poisson_weights
 
 
@@ -36,8 +37,8 @@ def trace_norm_bound(t: float, M: int) -> TraceNormBound:
 
     The value is inf (and invalid) where the power overflows a double.
     """
-    if M < 2:
-        raise ValueError(f"modulation order must be >= 2, got {M}")
+    _check_nonnegative(t, "amplitude t")
+    _check_order(M)
     try:
         q = (2.0 * math.e * t * t / M) ** (M / 2.0)
     except OverflowError:
@@ -71,7 +72,8 @@ def _secular_trace_norm(weights: np.ndarray, M: int) -> float:
     Classes with fewer than two nonzero weights contribute 0; weights that
     underflow to exact zeros drop out of the sums.
     """
-    w = _by_class(weights, M)
+    # past the cutoff every class is a single weight, however large M is
+    w = _by_class(weights, min(M, weights.size))
     w = w[np.count_nonzero(w, axis=1) >= 2]
     # Weights are at most 1, so u_i = w_i / w_p cannot underflow to zero.
     index = np.arange(w.shape[0])
@@ -99,8 +101,6 @@ def numeric_trace_norm_check(t: float, M: int) -> tuple[float, float, bool]:
     ok is vacuously true when the bound's validity condition fails.  Warns
     if the truncation tail is too heavy for the comparison to be trusted.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"invalid amplitude t={t}")
     bound = trace_norm_bound(t, M)
     cutoff = density_cutoff(t * t)
     weights = poisson_weights(t * t, cutoff)
@@ -117,17 +117,18 @@ def numeric_trace_norm_check(t: float, M: int) -> tuple[float, float, bool]:
 
 def pcb_bound(t: float, M: int, k: int) -> float:
     """Receiver cheating bound: k times the single-copy trace-norm bound."""
-    if k < 1:
-        raise ValueError(f"repetition count must be >= 1, got {k}")
+    _check_count(k)
     return k * trace_norm_bound(t, M).value
 
 
 def pca_exact(energy: float, k: int, M: int) -> float:
     """Sender's optimal opening-attack success probability."""
-    if M < 2:
-        raise ValueError(f"modulation order must be >= 2, got {M}")
+    _check_nonnegative(energy, "energy")
+    _check_count(k)
+    _check_order(M)
     s = math.sin(math.pi / (2.0 * M))
-    return math.exp(-energy * k * 4.0 * s * s)
+    # a float energy first, so that an int energy times k is not an int product
+    return math.exp(-float(energy) * k * 4.0 * s * s)
 
 
 @dataclass(frozen=True)
@@ -146,10 +147,9 @@ def epsilon_secure_check(t: float, M: int, k: int, epsilon: float) -> SecurityCh
     2 k (2 e t^2/M)^{M/2} <= eps.  At t = 1 the coarser sufficient pair
     exp(-k/M^2) <= eps and same second condition is reported as well.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
+    _check_probability(epsilon)
+    pcb = pcb_bound(t, M, k)  # checks t, M and k before t * t
     pca = pca_exact(t * t, k, M)
-    pcb = pcb_bound(t, M, k)
     failed = []
     if pca > epsilon:
         failed.append("binding")
@@ -213,10 +213,11 @@ class Plan:
 
 def find_params(epsilon: float, t: float, scan_limit: int = 512) -> Plan:
     """Smallest M with a nonempty k-window, then the smallest k inside it."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
-    if not (math.isfinite(t) and t > 0):
+    _check_probability(epsilon)
+    _check_nonnegative(t, "amplitude t")
+    if t == 0:  # the planner's own rule: no window opens at t = 0
         raise ValueError(f"amplitude must be positive, got {t}")
+    _check_order(scan_limit, "scan limit")
     rows = []
     for M in range(2, scan_limit + 1):
         rows.append(plan_row(epsilon, t, M))
@@ -251,9 +252,9 @@ class SecurityReport:
 
 
 def security_report(t: float, M: int, k: int, epsilon: float) -> SecurityReport:
+    check = epsilon_secure_check(t, M, k, epsilon)  # checks all four before the solve
     numeric, bound_value, _ = numeric_trace_norm_check(t, M)
     b = trace_norm_bound(t, M)
-    check = epsilon_secure_check(t, M, k, epsilon)
     return SecurityReport(
         t=t, M=M, k=k, epsilon=epsilon,
         pcb_bound=check.pcb,

@@ -28,7 +28,8 @@ from itertools import chain
 import numpy as np
 
 from . import protocol as proto
-from .codestates import _INT_TYPES, CodeParams, _by_class, eigen_sigma
+from .codestates import (_FLOAT_TYPES, _INT_TYPES, _REAL_TYPES, CodeParams, _by_class,
+                         _check_transmittivity, eigen_sigma)
 from .fock import coherent_vector
 
 KINDS = ("HELLO", "COMMIT", "OPEN", "VERDICT", "ABORT")
@@ -75,13 +76,9 @@ class ChannelModel:
     adversarial_bob: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"transmittivity must lie in (0,1], got {self.tau}")
+        _check_transmittivity(self.tau)
 
 
-# Python and NumPy float types; bool and the integer types are not among them
-_FLOAT_TYPES = frozenset({float} | {t for t in np.sctypeDict.values()
-                                    if issubclass(t, np.floating)})
 # format() drops the sign of -0.0 and json reads bare 0 as int
 _ZERO_TEXT = {"0": "0.0", "-0": "-0.0"}
 
@@ -437,7 +434,7 @@ class BobSession(_Endpoint):
             pairs = message.body.get("amplitudes")
             flat = (list(chain.from_iterable(pairs))
                     if _is_list_of(pairs, {list}) and set(map(len, pairs)) <= {2} else None)
-            if not _is_list_of(flat, _INT_TYPES | _FLOAT_TYPES):
+            if not _is_list_of(flat, _REAL_TYPES):
                 return self._abort("malformed COMMIT body")
             try:  # each [re, im] pair of doubles is laid out as one complex128
                 amps = np.array(flat, dtype=np.float64).view(np.complex128)

@@ -1,14 +1,16 @@
-"""References that only tests compare the package against: the dense forms of
-what the package keeps as vectors or class sums, the closed-form and
-sampled acceptance laws of a fixed reveal offset, and a transcript reader."""
+"""References that only tests compare the package against: the dense
+operator type, the dense forms of what the package keeps as vectors or
+class sums, the closed-form and sampled acceptance laws of a fixed reveal
+offset, and a transcript reader."""
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from phasebc.codestates import _check_bit, _signs, code_phases, eigen_sigma
-from phasebc.fock import (FockOperator, FockVector, _log_poisson_weights, coherent_vector,
+from phasebc.fock import (FockVector, _log_poisson_weights, _readonly, coherent_vector,
                           poisson_weights)
 from phasebc.mayers import build_kit
 from phasebc.transport import decode_line
@@ -17,6 +19,28 @@ from phasebc.transport import decode_line
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 TRACE_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class FockOperator:
+    """Dense complex matrix on the truncated number basis."""
+
+    cutoff: int
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        if self.cutoff < 0:
+            raise ValueError("cutoff must be non-negative")
+        m = np.array(self.matrix, dtype=np.complex128)
+        d = self.cutoff + 1
+        if m.shape != (d, d):
+            raise ValueError(f"expected {d}x{d} matrix, got shape {m.shape}")
+        object.__setattr__(self, "matrix", _readonly(m))
+
+
+def outer(v):
+    """|v><v| of a FockVector as a dense operator."""
+    return FockOperator(v.cutoff, np.outer(v.amps, v.amps.conj()))
 
 
 def assert_hermitian(op):

@@ -12,7 +12,7 @@ import pytest
 from phasebc import protocol as proto
 from phasebc import transport as tp
 from phasebc.codestates import CodeParams, _by_class
-from phasebc.fock import FockOperator, poisson_weights
+from phasebc.fock import poisson_weights
 from phasebc.mayers import build_kit
 from phasebc.phasespace import GridSpec, stellar_polynomial, wigner_sigma
 from phasebc.security import (
@@ -23,9 +23,9 @@ from phasebc.security import (
     trace_norm_bound,
 )
 
-from oracles import (acceptance_probability, build_D, build_sigma, class_vectors, dense_povm,
-                     helstrom_success, mc_acceptance, outcome_distribution, purification_matrix,
-                     steering_table, switch_fidelities, trace_norm)
+from oracles import (FockOperator, acceptance_probability, build_D, build_sigma, class_vectors,
+                     dense_povm, helstrom_success, mc_acceptance, outcome_distribution,
+                     purification_matrix, steering_table, switch_fidelities, trace_norm)
 
 GRID_T = (0.5, 1.0, 2.0)
 GRID_M = (6, 8, 12, 16, 24)

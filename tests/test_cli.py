@@ -100,21 +100,67 @@ class TestSimulate:
 
         thread = threading.Thread(target=listen)
         thread.start()
-        code = None
-        for _ in range(50):  # wait for the listener to come up
-            try:
-                code = cli.main(["simulate", "--connect", f"127.0.0.1:{port}",
-                                 "-E", "1", "-M", "8", "-k", "4", "--seed", "3"])
+        out = ""
+        for _ in range(50):  # wait for the listener: until then, exit 1 and no transcript
+            code = cli.main(["simulate", "--connect", f"127.0.0.1:{port}",
+                             "-E", "1", "-M", "8", "-k", "4", "--seed", "3"])
+            out = capsys.readouterr().out
+            if out:
                 break
-            except OSError:
-                time.sleep(0.1)
+            time.sleep(0.1)
         thread.join(10.0)
-        out = capsys.readouterr().out
+        out += capsys.readouterr().out
         assert code == 0 and results["code"] == 0
         # both endpoints printed the same five-message transcript
         lines = [ln for ln in out.splitlines() if ln]
         assert len(lines) == 10
         assert sorted(lines[:5]) == sorted(lines[5:])
+
+    def _closed_port(self):
+        probe = socket.create_server(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        return port
+
+    def _assert_failed_session(self, code, capsys):
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("session failed: ") and captured.err.count("\n") == 1
+
+    def test_connect_refused_exits_one(self, capsys):
+        # once a ConnectionRefusedError traceback
+        code = cli.main(["simulate", "--connect", f"127.0.0.1:{self._closed_port()}"])
+        self._assert_failed_session(code, capsys)
+
+    def test_unknown_host_exits_one(self, monkeypatch, capsys):
+        # the resolver's error, raised without a lookup
+        def unknown(address, timeout=None):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(socket, "create_connection", unknown)
+        code = cli.main(["simulate", "--connect", "nosuchhost.invalid:7777"])
+        self._assert_failed_session(code, capsys)
+
+    def test_peer_closing_mid_session_exits_one(self, capsys):
+        # a listener that reads the HELLO and closes; once a ProtocolStateError traceback
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def close_after_hello():
+            conn, _ = server.accept()
+            with conn, conn.makefile("rb") as rfile:
+                rfile.readline()
+
+        thread = threading.Thread(target=close_after_hello)
+        thread.start()
+        with server:
+            code = cli.main(["simulate", "--connect", f"127.0.0.1:{server.getsockname()[1]}"])
+            thread.join(10.0)
+        self._assert_failed_session(code, capsys)
+
+    def test_listen_on_a_port_in_use_exits_one(self, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as held:
+            code = cli.main(["simulate", "--listen", str(held.getsockname()[1])])
+        self._assert_failed_session(code, capsys)
 
 
 class TestTextFormat:
@@ -183,6 +229,9 @@ class TestUsageErrors:
         ["simulate", "--listen", "5000", "--connect", "127.0.0.1:5000"],
         # points^2 * M one past the work cap at the default 201-point grid
         ["wigner", "-M", str(cli._MAX_WORK // 201 ** 2 + 1)],
+        # a grid whose span 2 * halfwidth overflows once raised from linspace
+        ["wigner", "--halfwidth", "1e308", "--points", "3"],
+        ["wigner", "--halfwidth", "8.99e307", "--points", "3"],
     ], ids=" ".join)
     def test_exit_two(self, argv, capsys):
         with pytest.raises(SystemExit) as err:

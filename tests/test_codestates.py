@@ -89,7 +89,7 @@ class TestIdealRho:
             assert m > 4 * math.e * t * t + 1
             params = CodeParams.from_energy(t * t, m)
             diff = build_sigma(0, params).matrix - build_ideal_rho(t, params.cutoff).matrix
-            from phasebc.fock import FockOperator
+            from oracles import FockOperator
 
             assert trace_norm(FockOperator(params.cutoff, diff)) <= 2.0 ** (-m / 2)
 
@@ -202,7 +202,7 @@ class TestEigenSystem:
         for v in class_vectors(b, params):
             acc += np.outer(v.amps, v.amps.conj())
         diff = acc - build_sigma(b, params).matrix
-        from phasebc.fock import FockOperator
+        from oracles import FockOperator
 
         assert trace_norm(FockOperator(params.cutoff, diff)) <= 1e-10
 

@@ -6,11 +6,11 @@ import pytest
 from scipy.special import gammainc, gammaln
 
 from phasebc import fock
-from phasebc.fock import FockOperator, FockVector, coherent_vector, cutoff_for_energy
+from phasebc.fock import FockVector, coherent_vector, cutoff_for_energy
 from phasebc.protocol import QuantumPayload
 
 import oracles
-from oracles import displacement_matrix, helstrom_success, trace_norm
+from oracles import FockOperator, displacement_matrix, helstrom_success, outer, trace_norm
 
 
 def poisson_tail(energy, n_max):
@@ -160,7 +160,7 @@ class TestTraceNorm:
         assert trace_norm(FockOperator(3, np.zeros((4, 4)))) == 0.0
 
     def test_state_minus_itself(self):
-        rho = coherent_vector(0.8, 20).outer()
+        rho = outer(coherent_vector(0.8, 20))
         diff = FockOperator(20, rho.matrix - rho.matrix)
         assert trace_norm(diff) == 0.0
 
@@ -187,7 +187,7 @@ class TestTraceNorm:
 
 class TestHelstrom:
     def test_indistinguishable(self):
-        rho = coherent_vector(0.0, 8).outer()
+        rho = outer(coherent_vector(0.0, 8))
         assert helstrom_success(rho, rho) == 0.5
 
     def test_orthogonal(self):
@@ -201,8 +201,8 @@ class TestHelstrom:
     def test_pure_state_closed_form(self):
         # equal-prior pure states: 1/2 + sqrt(1 - |<a|b>|^2)/2
         n = 40
-        rho0 = coherent_vector(0.0, n).outer()
-        rho1 = coherent_vector(1.0, n).outer()
+        rho0 = outer(coherent_vector(0.0, n))
+        rho1 = outer(coherent_vector(1.0, n))
         expected = 0.5 + math.sqrt(1.0 - math.exp(-1.0)) / 2.0
         assert abs(helstrom_success(rho0, rho1) - expected) < 1e-10
 
@@ -220,7 +220,7 @@ class TestHelstrom:
 
     def test_cutoff_mismatch(self):
         with pytest.raises(ValueError):
-            helstrom_success(coherent_vector(0, 4).outer(), coherent_vector(0, 5).outer())
+            helstrom_success(outer(coherent_vector(0, 4)), outer(coherent_vector(0, 5)))
 
 
 def photon_counts(alpha, n, rng):
@@ -283,7 +283,7 @@ class TestDomainTypes:
             FockOperator(2, np.zeros((3, 4)))
 
     def test_density_validation(self):
-        good = coherent_vector(0.5, 10).outer()
+        good = outer(coherent_vector(0.5, 10))
         oracles.assert_density(good)
         with pytest.raises(ValueError):
             oracles.assert_density(FockOperator(1, np.diag([1.5, -0.5])))

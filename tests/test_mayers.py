@@ -7,10 +7,11 @@ import pytest
 from scipy.special import gammaln
 
 from phasebc.codestates import CodeParams, code_phases, eigen_sigma
-from phasebc.fock import FockOperator, coherent_vector
+from phasebc.fock import coherent_vector
 from phasebc.mayers import build_kit, verification_report
 
 from oracles import (
+    FockOperator,
     build_purification,
     build_sigma,
     build_U,

@@ -1,6 +1,7 @@
 """The package ships what it runs: every top-level function and class under
-src/phasebc is referenced by other package code or exported by phasebc, and
-the dense references that only tests use live in tests/oracles.py."""
+src/phasebc is referenced by other package code or exported by phasebc,
+every method of its classes is referenced somewhere, and the dense
+references that only tests use live in tests/oracles.py."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 import phasebc
 
 PACKAGE = Path(phasebc.__file__).resolve().parent
+# the code that may call a package method: the package, its tests and its benchmark
+CALLERS = (PACKAGE, Path(__file__).resolve().parent, PACKAGE.parents[1] / "perfbench")
 
 
 def parse_modules():
@@ -37,6 +40,22 @@ def test_every_definition_is_used_or_exported():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name not in exported
         and not any(node.name in names for other, names in statements if other is not node))
+    assert unused == []
+
+
+def test_every_method_is_referenced():
+    # a method or property counts as used where any caller reads an attribute
+    # of its name; dunders are called by Python itself
+    attributes = {node.attr for root in CALLERS for path in sorted(root.glob("*.py"))
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Attribute)}
+    unused = sorted(
+        f"{module}.{cls.name}.{node.name}"
+        for module, tree in parse_modules().items() for cls in tree.body
+        if isinstance(cls, ast.ClassDef) for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in attributes)
     assert unused == []
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from phasebc.codestates import CodeParams
-from phasebc.fock import FockOperator, density_cutoff, poisson_weights
+from phasebc.fock import density_cutoff, poisson_weights
 from phasebc.security import (
     SearchExhausted,
     TraceNormBound,
@@ -20,7 +20,8 @@ from phasebc.security import (
     trace_norm_bound,
 )
 
-from oracles import build_D, build_sigma, helstrom_success, pca_approx, trace_norm
+from oracles import (FockOperator, build_D, build_sigma, helstrom_success, pca_approx,
+                     trace_norm)
 
 
 class TestTraceNormBound:
