@@ -17,8 +17,8 @@ import sys
 
 from . import security, transport
 from . import protocol as proto
-from .codestates import CodeParams
-from .fock import density_cutoff
+from .codestates import (CodeParams, _check_count, _check_nonnegative, _check_order,
+                         _check_probability, _check_transmittivity)
 from .mayers import verification_report
 from .phasespace import GridSpec, wigner_sigma
 
@@ -45,50 +45,53 @@ def _emit(text: str, out_path: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _checked(parse, ok, expected: str):
-    """argparse type: parse the text and require ok(value), else exit 2."""
+def _checked(parse, rule, low=-math.inf, high=math.inf):
+    """argparse type: rule(parse(text)), which returns the value or raises ValueError,
+    then the CLI's own limit low <= value <= high; a failure exits 2 with the text."""
     def convert(text: str):
         try:
-            value = parse(text)
-        except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-        return value
+            value = rule(parse(text))
+            if not low <= value <= high:
+                raise ValueError(f"must be at least {low!r}" if value < low
+                                 else f"must be at most {high!r}")
+            return value
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{exc}; got {text!r}") from None
     return convert
 
 
+def _energy_types(**limits):
+    """The -E and -t converters, both giving the energy: -t checks t, and then
+    its square E = t^2 as -E checks E, limits included."""
+    def amplitude_energy(t):
+        t = _check_nonnegative(t, "amplitude t")
+        return _check_nonnegative(t * t, "energy")
+    return (_checked(float, lambda e: _check_nonnegative(e, "energy"), **limits),
+            _checked(float, amplitude_energy, **limits))
+
+
 def _host_port(text: str) -> tuple[str, int]:
-    host, port = text.rsplit(":", 1)
-    return host, int(port)
+    """argparse type of --connect: HOST:PORT, with a port as --listen takes it."""
+    host, _, port = text.rpartition(":")
+    if not host:
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
+    return host, _PORT(port)
 
 
-def _energy_types(ok, rule: str):
-    """The -E and -t converters, both requiring ok(E) of the energy E = t^2."""
-    return (_checked(float, ok, f"an energy E {rule}"),
-            _checked(float, lambda t: t >= 0.0 and ok(t * t),
-                     f"an amplitude t >= 0 with E = t^2 {rule}"))
-
-
-_POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
-_PROBABILITY = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
-_TRANSMITTIVITY = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
-_HALFWIDTH = _checked(float, lambda v: 0.0 < v and math.isfinite(2.0 * v),
-                      "a number > 0 with 2 * halfwidth finite")
-_ENERGY = _energy_types(lambda e: 0.0 <= e < math.inf, "finite and >= 0")
-# bounds keeps about 46 bytes per photon number up to the density cutoff;
-# at this cap (E up to about 4.1e6) a report peaks near 250 MB
+_COUNT = _checked(int, _check_count)
+_SEED = _checked(int, int, low=0)
+_PORT = _checked(int, int, 1, 65535)
+_PROBABILITY = _checked(float, _check_probability)
+_TRANSMITTIVITY = _checked(float, _check_transmittivity)
+_ENERGY = _energy_types()
+# bounds keeps about 46 bytes per photon number up to the density cutoff, and
+# at this cap a report peaks near 250 MB.  _MAX_REPORT_ENERGY is the largest
+# double E with density_cutoff(E) <= _MAX_CUTOFF, found by bisection.
 _MAX_CUTOFF = 2 ** 22
-_REPORT_ENERGY = _energy_types(
-    lambda e: 0.0 <= e <= _MAX_CUTOFF and density_cutoff(e) <= _MAX_CUTOFF,
-    f">= 0 with a density cutoff of at most {_MAX_CUTOFF}")
-# pcb_bound multiplies k into a double
-_REPORT_MODES = _checked(int, lambda v: 1 <= v <= sys.float_info.max,
-                         "an integer >= 1 within the double range")
+_MAX_REPORT_ENERGY = 4167676.760438968
+_REPORT_ENERGY = _energy_types(high=_MAX_REPORT_ENERGY)
 # a subnormal E carries fewer than 53 significant bits
-_PLAN_ENERGY = _energy_types(lambda e: sys.float_info.min <= e < math.inf,
-                             f"finite and >= {sys.float_info.min!r}")
+_PLAN_ENERGY = _energy_types(low=sys.float_info.min)
 # Allocation caps for a budget of about 250 MB, from tracemalloc peaks at
 # small sizes scaled linearly: a simulate run keeps about 580 bytes per mode
 # (k = 5,000 to 80,000, transcript and report written; a TCP session keeps
@@ -103,32 +106,25 @@ _MAX_POINTS = math.isqrt(_BUDGET // 185)
 _MAX_MIXTURE = _BUDGET // 130
 _MAX_ORDER = _BUDGET // 230
 _MAX_SCAN = _BUDGET // 720
-_ORDER = _checked(int, lambda v: 2 <= v <= _MAX_ORDER,
-                  f"an integer in 2..{_MAX_ORDER}")
-_SCAN_LIMIT = _checked(int, lambda v: 2 <= v <= _MAX_SCAN,
-                       f"an integer in 2..{_MAX_SCAN}")
-_SESSION_MODES = _checked(int, lambda v: 1 <= v <= _MAX_MODES,
-                          f"an integer in 1..{_MAX_MODES}")
-_GRID_POINTS = _checked(int, lambda v: 2 <= v <= _MAX_POINTS,
-                        f"an integer in 2..{_MAX_POINTS}")
-_MIXTURE_ORDER = _checked(int, lambda v: 2 <= v <= _MAX_MIXTURE,
-                          f"an integer in 2..{_MAX_MIXTURE}")
+_ORDER = _checked(int, _check_order, high=_MAX_ORDER)
+_SCAN_LIMIT = _checked(int, lambda v: _check_order(v, "scan limit"), high=_MAX_SCAN)
+_SESSION_MODES = _checked(int, _check_count, high=_MAX_MODES)
+_GRID_POINTS = _checked(int, lambda v: _check_order(v, "grid points"), high=_MAX_POINTS)
+_MIXTURE_ORDER = _checked(int, _check_order, high=_MAX_MIXTURE)
 # wigner costs points^2 * M Gaussian evaluations plus a fixed cost per mixture
 # point.  Capping points^2 * M at its value for -M at its cap with --points 2,
 # the slowest run the caps above allow, keeps every run within its time.
 _MAX_WORK = 2 ** 2 * _MAX_MIXTURE
-_PORT = _checked(int, lambda v: 1 <= v <= 65535, "a port in 1..65535")
-_ADDRESS = _checked(_host_port, lambda v: v[0] and 1 <= v[1] <= 65535, "HOST:PORT")
 
 
 def _add_options(parser: argparse.ArgumentParser, *names: str, energy=_ENERGY,
-                 order=_ORDER, modes=_POSITIVE_INT) -> None:
-    """The -E/-t pair and the named options, which the command's handler reads."""
+                 order=_ORDER, modes=_COUNT) -> None:
+    """The -E/-t pair, both giving the energy (default 1), and the named options."""
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("-E", "--energy", type=energy[0], default=None,
+    group.add_argument("-E", "--energy", type=energy[0], default=1.0,
                        help="received mean photon number per mode")
-    group.add_argument("-t", "--amplitude", type=energy[1], default=None,
-                       help="field amplitude t = sqrt(E)")
+    group.add_argument("-t", "--amplitude", type=energy[1], dest="energy", default=1.0,
+                       metavar="AMPLITUDE", help="field amplitude t = sqrt(E)")
     options = {
         "-M": dict(type=order, default=8, help="phase grid order"),
         "-k": dict(type=modes, default=1, help="modes per commitment"),
@@ -142,14 +138,6 @@ def _add_options(parser: argparse.ArgumentParser, *names: str, energy=_ENERGY,
         parser.add_argument(name, **options[name])
 
 
-def _energy_of(args) -> float:
-    if args.amplitude is not None:
-        return args.amplitude * args.amplitude
-    if args.energy is not None:
-        return args.energy
-    return 1.0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="phasebc")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -158,19 +146,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(p_sim, "-M", "-k", "--epsilon", "--tau", "--seed", "--out",
                  "--format", modes=_SESSION_MODES)
     p_sim.add_argument("--strategy", choices=("honest", "cheat-open"))
-    p_sim.add_argument("-n", "--sessions", type=_POSITIVE_INT)
+    p_sim.add_argument("-n", "--sessions", type=_checked(
+        int, lambda n: _check_count(n, "session count")))
     p_sim.add_argument("--bit", type=int, choices=(0, 1))
     p_sim.add_argument("--transcript", help="write the first session's transcript here")
     p_sim.set_defaults(format=None)  # the defaults are in _SIMULATE_DEFAULTS
     network = p_sim.add_mutually_exclusive_group()
     network.add_argument("--listen", type=_PORT, default=None, metavar="PORT",
                          help="serve one session as the receiver on this port")
-    network.add_argument("--connect", type=_ADDRESS, default=None, metavar="HOST:PORT",
+    network.add_argument("--connect", type=_host_port, default=None, metavar="HOST:PORT",
                          help="run one session as the sender against a listener")
 
     p_bounds = sub.add_parser("bounds", help="security report for one point")
     _add_options(p_bounds, "-M", "-k", "--epsilon", "--out", "--format",
-                 energy=_REPORT_ENERGY, modes=_REPORT_MODES)
+                 energy=_REPORT_ENERGY)
 
     p_plan = sub.add_parser("plan", help="smallest (M, k) for a target epsilon")
     _add_options(p_plan, "--epsilon", "--out", "--format", energy=_PLAN_ENERGY)
@@ -182,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wigner = sub.add_parser("wigner", help="phase-space grid CSV for sigma_b")
     _add_options(p_wigner, "-M", "--out", order=_MIXTURE_ORDER)
     p_wigner.add_argument("-b", "--bit", type=int, choices=(0, 1), default=0)
-    p_wigner.add_argument("--halfwidth", type=_HALFWIDTH, default=None)
+    p_wigner.add_argument("--halfwidth", type=float, default=None)
     p_wigner.add_argument("--points", type=_GRID_POINTS, default=201)
     return parser
 
@@ -216,7 +205,7 @@ def cmd_simulate(args) -> int:
 
     _mode_options(args)
     try:
-        params = proto.ProtocolParams(_energy_of(args), args.M, args.k,
+        params = proto.ProtocolParams(args.energy, args.M, args.k,
                                       args.epsilon, args.tau)
     except ValueError as exc:  # the converters leave only the E/tau rule to fail
         raise _UsageError(f"argument -E/-t with --tau: {exc}") from exc
@@ -272,15 +261,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    energy = _energy_of(args)
-    report = security.security_report(math.sqrt(energy), args.M, args.k,
+    report = security.security_report(math.sqrt(args.energy), args.M, args.k,
                                       args.epsilon)
     _emit(render_document(report.as_document(), args.format), args.out)
     return 0 if report.feasible else 1
 
 
 def cmd_plan(args) -> int:
-    t = math.sqrt(_energy_of(args))
+    t = math.sqrt(args.energy)
     try:
         plan = security.find_params(args.epsilon, t, args.scan_limit)
     except security.SearchExhausted as exc:
@@ -307,7 +295,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_mayers(args) -> int:
-    params = CodeParams.from_energy(_energy_of(args), args.M)
+    params = CodeParams.from_energy(args.energy, args.M)
     report = verification_report(params)
     _emit(render_document(report, args.format), args.out)
     ok = (
@@ -324,9 +312,13 @@ def cmd_wigner(args) -> int:
     if work > _MAX_WORK:
         raise _UsageError(f"argument -M with --points: points^2 * M = {work} "
                           f"exceeds {_MAX_WORK}")
-    params = CodeParams.from_energy(_energy_of(args), args.M)
+    params = CodeParams.from_energy(args.energy, args.M)
     halfwidth = args.halfwidth if args.halfwidth is not None else params.t + 4.0
-    grid = wigner_sigma(args.bit, params, GridSpec.centered(halfwidth, args.points))
+    try:
+        spec = GridSpec.centered(halfwidth, args.points)
+    except ValueError as exc:  # the grid's own rule, on the one option not yet checked
+        raise _UsageError(f"argument --halfwidth: {exc}") from exc
+    grid = wigner_sigma(args.bit, params, spec)
     text = "\n".join(grid.csv_lines()) + "\n"
     _emit(text, args.out)
     return 0

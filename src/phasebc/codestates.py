@@ -32,40 +32,50 @@ _REAL_TYPES = _INT_TYPES | _FLOAT_TYPES
 _MAX_ORDER = 2 ** 63
 
 
-# The domain of both security bounds, one rule each.  Comparisons refuse NaN;
-# the upper limits refuse inf and ints beyond a double.
-def _check_nonnegative(x, name: str) -> None:
-    """An amplitude t or an energy E: a finite real >= 0.  Ints are compared exactly;
-    floats are tested as doubles (a float32 compared with the double limit overflows)."""
-    if not (0 <= x <= sys.float_info.max if type(x) in _INT_TYPES
-            else type(x) in _FLOAT_TYPES and x >= 0 and math.isfinite(x)):
+def _double(x) -> float:
+    """A real as a Python float; NaN for a non-real or an int beyond the double range."""
+    real = type(x) in _FLOAT_TYPES or (type(x) in _INT_TYPES
+                                       and -sys.float_info.max <= x <= sys.float_info.max)
+    return float(x) if real else math.nan
+
+
+# The domain of both security bounds, one rule each.  A rule returns the value it
+# checked as a Python int or float, which callers keep, so NumPy scalars do not
+# wrap, overflow or lose precision downstream.  Comparisons refuse NaN.
+def _check_nonnegative(x, name: str) -> float:
+    """An amplitude t or an energy E: a finite real >= 0."""
+    if not 0 <= (value := _double(x)) < math.inf:
         raise ValueError(f"{name} must be a finite number >= 0, got {x!r}")
+    return value
 
 
-def _check_order(M, name: str = "modulation order") -> None:
+def _check_order(M, name: str = "modulation order") -> int:
     """A grid order M: an exact integer in 2..2**63."""
     if type(M) not in _INT_TYPES or not 2 <= M <= _MAX_ORDER:
         raise ValueError(f"{name} must be an integer in 2..2**63, got {M!r}")
+    return int(M)
 
 
-def _check_count(k) -> None:
+def _check_count(k, name: str = "repetition count") -> int:
     """A repetition count k: an exact integer >= 1 that converts to a double,
     since the bounds multiply k into one."""
     if type(k) not in _INT_TYPES or not 1 <= k <= sys.float_info.max:
-        raise ValueError(f"repetition count must be an integer >= 1 in the double range, "
-                         f"got {k!r}")
+        raise ValueError(f"{name} must be an integer >= 1 in the double range, got {k!r}")
+    return int(k)
 
 
-def _check_probability(p, name: str = "epsilon") -> None:
+def _check_probability(p, name: str = "epsilon") -> float:
     """A security parameter or tolerance: a real in (0, 1)."""
-    if type(p) not in _REAL_TYPES or not 0 < p < 1:
+    if not 0 < (value := _double(p)) < 1:
         raise ValueError(f"{name} must be a number in (0, 1), got {p!r}")
+    return value
 
 
-def _check_transmittivity(tau) -> None:
+def _check_transmittivity(tau) -> float:
     """A channel transmittivity: a real in (0, 1]."""
-    if type(tau) not in _REAL_TYPES or not 0 < tau <= 1:
+    if not 0 < (value := _double(tau)) <= 1:
         raise ValueError(f"transmittivity must be a number in (0, 1], got {tau!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -77,10 +87,11 @@ class CodeParams:
     cutoff: int
 
     def __post_init__(self):
-        _check_nonnegative(self.t, "amplitude t")
-        _check_order(self.M)
+        object.__setattr__(self, "t", _check_nonnegative(self.t, "amplitude t"))
+        object.__setattr__(self, "M", _check_order(self.M))
         if type(self.cutoff) not in _INT_TYPES or self.cutoff < 0:
             raise ValueError(f"cutoff must be a non-negative integer, got {self.cutoff!r}")
+        object.__setattr__(self, "cutoff", int(self.cutoff))
 
     @property
     def energy(self) -> float:

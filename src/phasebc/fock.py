@@ -63,8 +63,8 @@ def cutoff_for_energy(energy: float, tail_tol: float) -> int:
     """Smallest N whose Poisson(energy) tail beyond N is below tail_tol."""
     from .codestates import _check_nonnegative, _check_probability  # codestates imports fock
 
-    _check_nonnegative(energy, "energy")
-    _check_probability(tail_tol, "tail_tol")
+    energy = _check_nonnegative(energy, "energy")
+    tail_tol = _check_probability(tail_tol, "tail_tol")
     # scipy.special is imported where it is used: it is most of the import time
     from scipy.special import gammainc
     # P(X > n) for Poisson(E) is the regularized lower incomplete gamma,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codestates import CodeParams, code_phases
+from .codestates import CodeParams, _check_order, _double, code_phases
 from .fock import FockVector
 
 
@@ -25,10 +25,13 @@ class GridSpec:
     points: int = 201
 
     def __post_init__(self):
-        if self.points < 2:
-            raise ValueError("grid needs at least 2 points per axis")
-        if not (self.x_range[0] < self.x_range[1] and self.p_range[0] < self.p_range[1]):
-            raise ValueError("empty grid range")
+        object.__setattr__(self, "points", _check_order(self.points, "grid points"))
+        for name in ("x_range", "p_range"):
+            lo, hi = map(_double, getattr(self, name))  # Python floats: inf, not a warning
+            if not 0 < hi - lo < math.inf:
+                raise ValueError(f"{name} must span a finite width > 0, "
+                                 f"got {getattr(self, name)!r}")
+            object.__setattr__(self, name, (lo, hi))
 
     @classmethod
     def centered(cls, halfwidth: float, points: int = 201) -> "GridSpec":
@@ -87,7 +90,8 @@ def wigner_mixture(points: list[tuple[float, complex]], grid: GridSpec) -> Wigne
     z = xs[:, None] + 1j * ps[None, :]
     vals = np.zeros(z.shape)
     for w, a in zip(weights, alphas):
-        vals += w * np.exp(-np.abs(a - z) ** 2)
+        # exp(-28^2) is 0.0 already, and clamping keeps a far grid from overflowing
+        vals += w * np.exp(-np.minimum(np.abs(a - z), 28.0) ** 2)
     return WignerGrid(xs, ps, vals / math.pi)
 
 

@@ -48,11 +48,11 @@ class ProtocolParams:
     tau: float = 1.0
 
     def __post_init__(self):
-        _check_nonnegative(self.energy, "energy")
-        _check_order(self.M)
-        _check_count(self.k)
-        _check_probability(self.epsilon)
-        _check_transmittivity(self.tau)
+        for name, value in (("energy", _check_nonnegative(self.energy, "energy")),
+                            ("M", _check_order(self.M)), ("k", _check_count(self.k)),
+                            ("epsilon", _check_probability(self.epsilon)),
+                            ("tau", _check_transmittivity(self.tau))):
+            object.__setattr__(self, name, value)
         if not 4.0 * self.energy / self.tau <= POISSON_RATE_LIMIT:  # also inf
             raise ValueError(
                 f"4E/tau = {4.0 * self.energy / self.tau!r} exceeds the Poisson "
@@ -69,7 +69,7 @@ class Commitment:
     m: tuple[int, ...]
 
     def __post_init__(self):
-        _check_bit(self.b)
+        object.__setattr__(self, "b", _check_bit(self.b))
         m = tuple(self.m)
         if not set(map(type, m)) <= _INT_TYPES:
             raise ValueError(f"phase indices must be integers, got {m!r}")
@@ -189,8 +189,7 @@ def cheat_open(commitment: Commitment, target_b: int) -> tuple[int, tuple[int, .
     Keeping m unchanged maximizes the all-zeros probability; with
     target_b == commitment.b this is just the honest open.
     """
-    _check_bit(target_b)
-    return target_b, commitment.m
+    return _check_bit(target_b), commitment.m
 
 
 class AliceStrategy:
@@ -209,8 +208,7 @@ class HonestAlice(AliceStrategy):
     name = "honest"
 
     def __init__(self, b: int):
-        _check_bit(b)
-        self.b = b
+        self.b = _check_bit(b)
 
     def commitment_bit(self, params, rng):
         return self.b
@@ -225,8 +223,7 @@ class CheatOpenAlice(AliceStrategy):
     name = "cheat-open"
 
     def __init__(self, commit_b: int):
-        _check_bit(commit_b)
-        self.commit_b = commit_b
+        self.commit_b = _check_bit(commit_b)
 
     def commitment_bit(self, params, rng):
         return self.commit_b

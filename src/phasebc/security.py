@@ -37,8 +37,7 @@ def trace_norm_bound(t: float, M: int) -> TraceNormBound:
 
     The value is inf (and invalid) where the power overflows a double.
     """
-    _check_nonnegative(t, "amplitude t")
-    _check_order(M)
+    t, M = _check_nonnegative(t, "amplitude t"), _check_order(M)
     try:
         q = (2.0 * math.e * t * t / M) ** (M / 2.0)
     except OverflowError:
@@ -101,6 +100,7 @@ def numeric_trace_norm_check(t: float, M: int) -> tuple[float, float, bool]:
     ok is vacuously true when the bound's validity condition fails.  Warns
     if the truncation tail is too heavy for the comparison to be trusted.
     """
+    t, M = _check_nonnegative(t, "amplitude t"), _check_order(M)
     bound = trace_norm_bound(t, M)
     cutoff = density_cutoff(t * t)
     weights = poisson_weights(t * t, cutoff)
@@ -117,18 +117,15 @@ def numeric_trace_norm_check(t: float, M: int) -> tuple[float, float, bool]:
 
 def pcb_bound(t: float, M: int, k: int) -> float:
     """Receiver cheating bound: k times the single-copy trace-norm bound."""
-    _check_count(k)
+    k = _check_count(k)
     return k * trace_norm_bound(t, M).value
 
 
 def pca_exact(energy: float, k: int, M: int) -> float:
     """Sender's optimal opening-attack success probability."""
-    _check_nonnegative(energy, "energy")
-    _check_count(k)
-    _check_order(M)
+    energy, k, M = _check_nonnegative(energy, "energy"), _check_count(k), _check_order(M)
     s = math.sin(math.pi / (2.0 * M))
-    # a float energy first, so that an int energy times k is not an int product
-    return math.exp(-float(energy) * k * 4.0 * s * s)
+    return math.exp(-energy * k * 4.0 * s * s)
 
 
 @dataclass(frozen=True)
@@ -147,8 +144,9 @@ def epsilon_secure_check(t: float, M: int, k: int, epsilon: float) -> SecurityCh
     2 k (2 e t^2/M)^{M/2} <= eps.  At t = 1 the coarser sufficient pair
     exp(-k/M^2) <= eps and same second condition is reported as well.
     """
-    _check_probability(epsilon)
-    pcb = pcb_bound(t, M, k)  # checks t, M and k before t * t
+    epsilon = _check_probability(epsilon)
+    t, M, k = _check_nonnegative(t, "amplitude t"), _check_order(M), _check_count(k)
+    pcb = pcb_bound(t, M, k)
     pca = pca_exact(t * t, k, M)
     failed = []
     if pca > epsilon:
@@ -213,11 +211,11 @@ class Plan:
 
 def find_params(epsilon: float, t: float, scan_limit: int = 512) -> Plan:
     """Smallest M with a nonempty k-window, then the smallest k inside it."""
-    _check_probability(epsilon)
-    _check_nonnegative(t, "amplitude t")
+    epsilon = _check_probability(epsilon)
+    t = _check_nonnegative(t, "amplitude t")
     if t == 0:  # the planner's own rule: no window opens at t = 0
         raise ValueError(f"amplitude must be positive, got {t}")
-    _check_order(scan_limit, "scan limit")
+    scan_limit = _check_order(scan_limit, "scan limit")
     rows = []
     for M in range(2, scan_limit + 1):
         rows.append(plan_row(epsilon, t, M))
@@ -252,7 +250,9 @@ class SecurityReport:
 
 
 def security_report(t: float, M: int, k: int, epsilon: float) -> SecurityReport:
-    check = epsilon_secure_check(t, M, k, epsilon)  # checks all four before the solve
+    epsilon = _check_probability(epsilon)
+    t, M, k = _check_nonnegative(t, "amplitude t"), _check_order(M), _check_count(k)
+    check = epsilon_secure_check(t, M, k, epsilon)  # refuses t * t = inf before the solve
     numeric, bound_value, _ = numeric_trace_norm_check(t, M)
     b = trace_norm_bound(t, M)
     return SecurityReport(

@@ -76,7 +76,7 @@ class ChannelModel:
     adversarial_bob: bool = False
 
     def __post_init__(self):
-        _check_transmittivity(self.tau)
+        object.__setattr__(self, "tau", _check_transmittivity(self.tau))
 
 
 # format() drops the sign of -0.0 and json reads bare 0 as int
@@ -208,15 +208,8 @@ class SessionTranscript:
 
 
 def _params_body(params: proto.ProtocolParams, role: str) -> dict:
-    # plain Python numbers, as a decoded HELLO carries; the encoding is unchanged
-    return {
-        "role": role,
-        "energy": float(params.energy),
-        "modulation": int(params.M),
-        "repetitions": int(params.k),
-        "epsilon": float(params.epsilon),
-        "tau": float(params.tau),
-    }
+    return {"role": role, "energy": params.energy, "modulation": params.M,
+            "repetitions": params.k, "epsilon": params.epsilon, "tau": params.tau}
 
 
 def _params_match(body: dict, params: proto.ProtocolParams) -> bool:

@@ -15,6 +15,9 @@ import numpy as np
 import pytest
 
 from phasebc import cli
+from phasebc.codestates import (_check_count, _check_nonnegative, _check_probability,
+                                _check_transmittivity)
+from phasebc.fock import density_cutoff
 from phasebc.protocol import Verdict
 from phasebc.transport import SessionTranscript
 
@@ -239,6 +242,24 @@ class TestUsageErrors:
         assert err.value.code == 2
         assert "error: argument" in capsys.readouterr().err
 
+    # the exit-2 text is the library rule's own message, not a restatement
+    @pytest.mark.parametrize("argv, rule", [
+        pytest.param(["bounds", "--epsilon", "0"], lambda: _check_probability(0.0),
+                     id="bounds --epsilon 0"),
+        pytest.param(["simulate", "--tau", "0"], lambda: _check_transmittivity(0.0),
+                     id="simulate --tau 0"),
+        pytest.param(["bounds", "-E", "-1"], lambda: _check_nonnegative(-1.0, "energy"),
+                     id="bounds -E -1"),
+        pytest.param(["bounds", "-k", "0"], lambda: _check_count(0), id="bounds -k 0"),
+    ])
+    def test_exit_two_text_is_the_rules(self, argv, rule, capsys):
+        with pytest.raises(ValueError) as refused:
+            rule()
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert f"{refused.value}; got '{argv[-1]}'" in capsys.readouterr().err
+
     # options the command's handler never read
     @pytest.mark.parametrize("argv", [
         ["bounds", "--tau", "0.5"],
@@ -308,6 +329,12 @@ class TestAllocationCaps:
             finally:
                 tracemalloc.stop()
         assert peak / size * cap <= 1.1 * cli._BUDGET
+
+
+def test_report_energy_cap_is_the_last_double_within_the_cutoff_cap():
+    # the cap replaces a density_cutoff call at parse time
+    assert density_cutoff(cli._MAX_REPORT_ENERGY) <= cli._MAX_CUTOFF
+    assert density_cutoff(math.nextafter(cli._MAX_REPORT_ENERGY, math.inf)) > cli._MAX_CUTOFF
 
 
 def test_import_leaves_out_lazy_modules():
@@ -437,6 +464,16 @@ class TestWigner:
 
     def test_code_book_gap_ordering(self, capsys):
         assert self.gap(capsys, 6) > 100.0 * self.gap(capsys, 32)
+
+    def test_far_grid_runs_without_warning(self, capsys):
+        # |alpha - z|^2 once overflowed to inf in the Gaussian of each mixture point
+        values = {}
+        for halfwidth in ("1e200", "1"):
+            code, out = run_cli(["wigner", "--halfwidth", halfwidth, "--points", "3"], capsys)
+            assert code == 0
+            values[halfwidth] = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+        # only the origin lies near the code states; it reads as on a small grid
+        assert values["1e200"] == ["0"] * 4 + values["1"][4:5] + ["0"] * 4
 
     def test_deterministic(self, capsys):
         a = run_cli(["wigner", "-t", "1", "-M", "6", "-b", "0", "--points", "41"],

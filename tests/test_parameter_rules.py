@@ -1,7 +1,9 @@
 """The parameter domain of both security bounds, t/E >= 0, an integer M >= 2,
 an integer k >= 1, 0 < epsilon < 1 and 0 < tau <= 1, is checked by the same
-five rules (codestates) in every library entry point that takes one."""
+five rules (codestates) in every library entry point that takes one, and the
+entry point keeps the Python value the rule returns."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from phasebc.codestates import CodeParams
 from phasebc.fock import cutoff_for_energy
+from phasebc.phasespace import GridSpec
 from phasebc.protocol import ProtocolParams
 from phasebc.security import (epsilon_secure_check, find_params, numeric_trace_norm_check,
                               pca_exact, pcb_bound, security_report, trace_norm_bound)
@@ -29,6 +32,7 @@ ENTRY_POINTS = {
     "epsilon_secure_check": (epsilon_secure_check, (1.0, 8, 4, 0.01), "rocp"),
     "security_report": (security_report, (1.0, 8, 4, 0.01), "rocp"),
     "find_params": (find_params, (0.01, 1.0, 64), "pro"),
+    "GridSpec": (lambda points: GridSpec((-1.0, 1.0), (-1.0, 1.0), points), (8,), "o"),
 }
 BAD_VALUES = {"True": True, "1e400": 10 ** 400, "nan": math.nan, "inf": math.inf,
               "-inf": -math.inf, "-1.0": -1.0, "'1'": "1"}
@@ -102,9 +106,42 @@ def _edge_cases():
         yield pytest.param(name, i, typed, id=f"{name}-arg{i}-{type(typed).__name__}")
 
 
+def _scalars(result):
+    """The leaves of a result: dataclass fields and tuple items, recursively."""
+    if dataclasses.is_dataclass(result):
+        result = dataclasses.astuple(result)
+    if isinstance(result, tuple):
+        for item in result:
+            yield from _scalars(item)
+    else:
+        yield result
+
+
+def _assert_python_result(result):
+    # exact types: np.float64 is a float subclass and np.True_ is no bool
+    types = set(map(type, _scalars(result)))
+    assert types <= {bool, int, float, str, type(None)}, types
+
+
 @pytest.mark.parametrize("name, i, value", list(_edge_cases()))
 def test_valid_edge_value_passes(name, i, value):
-    _call(name, i, value)
+    result = _call(name, i, value)
+    _assert_python_result(result)
+    if ENTRY_POINTS[name][2][i] in "oc":
+        assert result == _call(name, i, int(value))
+
+
+# An order beyond int32 as a NumPy scalar: M * M once overflowed (with a
+# sufficient pair of (True, np.True_)) and -M wrapped around for np.uint64
+# (a simplified bound of inf)
+@pytest.mark.parametrize("typed", [np.int64, np.uint64])
+@pytest.mark.parametrize("name", ["trace_norm_bound", "epsilon_secure_check",
+                                  "security_report"])
+def test_numpy_order_matches_python_int(name, typed):
+    i = ENTRY_POINTS[name][2].index("o")
+    result = _call(name, i, typed(2 ** 32))
+    _assert_python_result(result)
+    assert result == _call(name, i, 2 ** 32)
 
 
 def test_largest_values_pass():

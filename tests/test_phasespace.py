@@ -114,6 +114,25 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec((-1.0, 1.0), (-1.0, 1.0), points=1)
 
+    # a TypeError from linspace, and NumPy warnings where the span is inf or nan
+    @pytest.mark.parametrize("spec", [
+        lambda: GridSpec.centered(1.0, 2.5),
+        lambda: GridSpec.centered(math.inf),
+        lambda: GridSpec.centered(1e308, 3),
+        lambda: GridSpec((np.float64(-1e308), np.float64(1e308)), (-1.0, 1.0), 3),
+        lambda: GridSpec((-1.0, 1.0), ("-1", True), 3),
+    ], ids=["float-points", "inf-halfwidth", "span-overflow", "numpy-span-overflow",
+            "non-real-bounds"])
+    def test_domain_refused_with_value_error(self, spec):
+        with pytest.raises(ValueError):
+            spec()
+
+    def test_bounds_and_points_kept_as_python_numbers(self):
+        spec = GridSpec((np.float32(-1.5), 1), (-1.0, np.float64(2.0)), np.int64(5))
+        assert spec == GridSpec((-1.5, 1.0), (-1.0, 2.0), 5)
+        assert {type(x) for x in spec.x_range + spec.p_range} == {float}
+        assert type(spec.points) is int
+
     def test_axes_uniform(self):
         xs, ps = GridSpec.centered(2.0, 41).axes()
         dx = np.diff(xs)

@@ -122,6 +122,14 @@ class TestCommitmentTypes:
         with pytest.raises(ValueError, match="bit must be 0 or 1"):
             Commitment(b, (1,))
 
+    def test_numpy_bit_is_kept_as_the_rules_int(self):
+        # the OPEN body once carried np.int64(1), the bit as given
+        one = np.int64(1)
+        commitment = Commitment(one, (1,))
+        bits = (commitment.b, HonestAlice(one).b, CheatOpenAlice(one).commit_b,
+                cheat_open(commitment, one)[0])
+        assert bits == (1, 1, 1, 1) and set(map(type, bits)) == {int}
+
     @pytest.mark.parametrize("m", [1.5, 1.0, True, "1", np.float64(2.0)])
     def test_index_is_not_coerced(self, m):
         # int() once turned 1.5 into 1
