@@ -20,7 +20,7 @@ from . import protocol as proto
 from .codestates import (CodeParams, _check_count, _check_nonnegative, _check_order,
                          _check_probability, _check_transmittivity)
 from .mayers import verification_report
-from .phasespace import GridSpec, wigner_sigma
+from .phasespace import GridSpec, WignerGrid, wigner_sigma
 
 DEFAULT_SEED = 20260809  # documented default; override with --seed
 
@@ -36,6 +36,16 @@ def render_document(doc: dict, fmt: str) -> str:
         return "".join(f"{k.ljust(width)}  {transport.format_document(v)}\n"
                        for k, v in doc.items())
     return transport.format_document(doc) + "\n"
+
+
+def render_csv(grid: WignerGrid) -> str:
+    """Header and one x,p,w line per grid point, the zeros written 0 and -0. Each
+    row of values is formatted and joined on its own, which keeps the peak low."""
+    xs, ps = (transport._float_texts(axis, zeros={}) for axis in (grid.xs, grid.ps))
+    rows = ("".join([f"{x},{p},{w}\n"
+                     for p, w in zip(ps, transport._float_texts(row, zeros={}))])
+            for x, row in zip(xs, grid.values))
+    return "".join(["x,p,w\n", *rows])
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -319,8 +329,7 @@ def cmd_wigner(args) -> int:
     except ValueError as exc:  # the grid's own rule, on the one option not yet checked
         raise _UsageError(f"argument --halfwidth: {exc}") from exc
     grid = wigner_sigma(args.bit, params, spec)
-    text = "\n".join(grid.csv_lines()) + "\n"
-    _emit(text, args.out)
+    _emit(render_csv(grid), args.out)
     return 0
 
 

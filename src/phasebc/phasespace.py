@@ -64,15 +64,6 @@ class WignerGrid:
         dp = self.ps[1] - self.ps[0]
         return float(self.values.sum() * dx * dp)
 
-    def csv_lines(self):
-        """Header and one x,p,w line per grid point, at 17 significant digits."""
-        yield "x,p,w"
-        ps = [format(p, ".17g") for p in self.ps.tolist()]
-        for x, row in zip(self.xs.tolist(), self.values.tolist()):
-            x = format(x, ".17g")
-            for p, w in zip(ps, row):
-                yield f"{x},{p},{w:.17g}"
-
 
 def wigner_mixture(points: list[tuple[float, complex]], grid: GridSpec) -> WignerGrid:
     """Wigner function of sum_j w_j |alpha_j><alpha_j| on a uniform grid.

@@ -79,33 +79,30 @@ class ChannelModel:
         object.__setattr__(self, "tau", _check_transmittivity(self.tau))
 
 
-# format() drops the sign of -0.0 and json reads bare 0 as int
+# format() writes the zeros as "0" and "-0", and json reads a bare 0 as an int
 _ZERO_TEXT = {"0": "0.0", "-0": "-0.0"}
+# Shorter lists format value by value. Honest lists at M = 8 (timeit, best of 9,
+# 2 vCPUs), np.unique vs per value: 14.9 vs 4.4 us at 8 floats, 17.1 vs 15.4 at
+# 32, 17.5 vs 19.7 at 40, 18.1 vs 30.6 at 64; at M = 20 they cross near 48.
+_UNIQUE_MIN = 40
 
 
-def _float_text(x: float) -> str:
-    """One Python float at 17 significant digits."""
-    if not math.isfinite(x):
+def _float_texts(values, zeros: dict[str, str] = _ZERO_TEXT) -> list[str]:
+    """A sequence or 1-D array of doubles at 17 significant digits, the zeros
+    respelled by zeros. From _UNIQUE_MIN values on, each distinct value, told
+    apart by bit pattern (0.0 from -0.0), is formatted once: an honest COMMIT
+    holds at most M distinct amplitudes among its 2k floats."""
+    inverse = None
+    if len(values) >= _UNIQUE_MIN:
+        bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
+                                  return_inverse=True)
+        values = bits.view(np.float64).tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError("non-finite float in message")
-    text = "{:.17g}".format(x)
-    return _ZERO_TEXT.get(text, text)
-
-
-def _float_texts(values: list[float]) -> list[str]:
-    """Python floats at 17 significant digits, each distinct value formatted once.
-
-    An honest COMMIT holds at most M distinct amplitudes among its 2k floats.
-    Values are told apart by bit pattern, which keeps 0.0 apart from -0.0.
-    """
-    bits, inverse = np.unique(np.array(values, dtype=np.float64).view(np.int64),
-                              return_inverse=True)
-    distinct = bits.view(np.float64)
-    if not np.isfinite(distinct).all():
-        raise ValueError("non-finite float in message")
-    texts = list(map("{:.17g}".format, distinct.tolist()))
-    if not distinct.all():  # a zero, of either sign
-        texts = list(map(_ZERO_TEXT.get, texts, texts))
-    return list(map(texts.__getitem__, inverse.tolist()))
+    texts = list(map("{:.17g}".format, values))
+    if zeros and 0.0 in values:  # a zero, of either sign
+        texts = list(map(zeros.get, texts, texts))
+    return texts if inverse is None else np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _bulk_text(doc: list | tuple) -> str | None:
@@ -138,7 +135,7 @@ def format_document(doc) -> str:
     if isinstance(doc, (int, np.integer)):
         return str(int(doc))
     if isinstance(doc, (float, np.floating)):
-        return _float_text(float(doc))
+        return _float_texts([float(doc)])[0]
     if isinstance(doc, str):
         return json.dumps(doc)
     if isinstance(doc, (list, tuple)):

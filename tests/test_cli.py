@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasebc import cli
+from phasebc import cli, transport
 from phasebc.codestates import (_check_count, _check_nonnegative, _check_probability,
                                 _check_transmittivity)
 from phasebc.fock import density_cutoff
+from phasebc.phasespace import GridSpec, wigner_mixture
 from phasebc.protocol import Verdict
 from phasebc.transport import SessionTranscript
 
@@ -101,7 +102,8 @@ class TestSimulate:
                                         "-E", "1", "-M", "8", "-k", "4",
                                         "--seed", "3"])
 
-        thread = threading.Thread(target=listen)
+        # a daemon, so that a run whose client never connects can still exit
+        thread = threading.Thread(target=listen, daemon=True)
         thread.start()
         out = ""
         for _ in range(50):  # wait for the listener: until then, exit 1 and no transcript
@@ -474,6 +476,35 @@ class TestWigner:
             values[halfwidth] = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
         # only the origin lies near the code states; it reads as on a small grid
         assert values["1e200"] == ["0"] * 4 + values["1"][4:5] + ["0"] * 4
+
+    def test_csv_lines(self):
+        grid = wigner_mixture([(1.0, 0.0)], GridSpec.centered(1.0, 3))
+        lines = cli.render_csv(grid).splitlines()
+        assert lines[0] == "x,p,w"
+        assert len(lines) == 1 + 9
+        x, p, w = lines[1].split(",")
+        assert float(x) == grid.xs[0] and float(p) == grid.ps[0]
+        assert float(w) == grid.values[0, 0]  # 17 digits round-trip exactly
+
+    def test_csv_lines_match_per_value_formatting(self):
+        grid = wigner_mixture([(0.5, 0.3 - 0.2j), (0.5, -1.1j)],
+                              GridSpec((-1.3, 0.7), (-0.4, 2.1), 7))
+        expected = ["x,p,w"] + [
+            f"{grid.xs[i]:.17g},{grid.ps[j]:.17g},{grid.values[i, j]:.17g}"
+            for i in range(grid.xs.size) for j in range(grid.ps.size)
+        ]
+        assert cli.render_csv(grid).splitlines() == expected
+
+    def test_csv_rows_past_the_crossover_keep_zeros(self):
+        # rows of 45 values take the deduplicating path; far points are exact zeros
+        grid = wigner_mixture([(1.0, 0.0)], GridSpec.centered(60.0, 45))
+        assert grid.xs.size >= transport._UNIQUE_MIN and (grid.values == 0).sum() > 1000
+        expected = ["x,p,w"] + [
+            f"{grid.xs[i]:.17g},{grid.ps[j]:.17g},{grid.values[i, j]:.17g}"
+            for i in range(grid.xs.size) for j in range(grid.ps.size)
+        ]
+        lines = cli.render_csv(grid).splitlines()
+        assert lines == expected and lines[1].endswith(",0")
 
     def test_deterministic(self, capsys):
         a = run_cli(["wigner", "-t", "1", "-M", "6", "-b", "0", "--points", "41"],

@@ -69,3 +69,12 @@ def test_no_module_imports_scipy_linalg():
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imports += [(module, f"{node.module}.{alias.name}") for alias in node.names]
     assert [(m, name) for m, name in imports if name.startswith("scipy.linalg")] == []
+
+
+def test_one_float_format_spec():
+    # a double becomes text in transport._float_texts alone; ast.walk reaches
+    # string constants and the format spec of an f-string field alike
+    specs = [module for module, tree in parse_modules().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             for _ in range(node.value.count(".17g"))]
+    assert specs == ["transport"]

@@ -57,24 +57,6 @@ class TestWigner:
         with pytest.raises(ValueError):
             wigner_mixture([], GridSpec.centered(1.0, 11))
 
-    def test_csv_lines(self):
-        grid = wigner_mixture([(1.0, 0.0)], GridSpec.centered(1.0, 3))
-        lines = list(grid.csv_lines())
-        assert lines[0] == "x,p,w"
-        assert len(lines) == 1 + 9
-        x, p, w = lines[1].split(",")
-        assert float(x) == grid.xs[0] and float(p) == grid.ps[0]
-        assert float(w) == grid.values[0, 0]  # 17 digits round-trip exactly
-
-    def test_csv_lines_match_per_value_formatting(self):
-        grid = wigner_mixture([(0.5, 0.3 - 0.2j), (0.5, -1.1j)],
-                              GridSpec((-1.3, 0.7), (-0.4, 2.1), 7))
-        expected = ["x,p,w"] + [
-            f"{grid.xs[i]:.17g},{grid.ps[j]:.17g},{grid.values[i, j]:.17g}"
-            for i in range(grid.xs.size) for j in range(grid.ps.size)
-        ]
-        assert list(grid.csv_lines()) == expected
-
 
 class TestStellarPolynomial:
     def test_coefficients(self):

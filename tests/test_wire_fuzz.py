@@ -133,10 +133,13 @@ def test_bulk_formatter_matches_per_value_reference(doc):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(values=st.lists(any_float, min_size=1, max_size=8),
+       size=st.integers(1, 2 * tp._UNIQUE_MIN),
        bad=st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, np.float32("nan"),
                             np.float64("inf")]),
-       at=st.integers(0, 8), as_pairs=st.booleans())
-def test_non_finite_in_a_bulk_list_raises(values, bad, at, as_pairs):
+       at=st.integers(0, 2 * tp._UNIQUE_MIN), as_pairs=st.booleans())
+def test_non_finite_in_a_bulk_list_raises(values, size, bad, at, as_pairs):
+    # lists on both sides of the length from which distinct values are formatted once
+    values = (values * size)[:size]
     values = values[:at] + [bad] + values[at:]
     doc = [[v, v] for v in values] if as_pairs else values
     with pytest.raises(ValueError, match="non-finite float in message"):
