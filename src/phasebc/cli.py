@@ -98,7 +98,7 @@ _ENERGY = _energy_types()
 # at this cap a report peaks near 250 MB.  _MAX_REPORT_ENERGY is the largest
 # double E with density_cutoff(E) <= _MAX_CUTOFF, found by bisection.
 _MAX_CUTOFF = 2 ** 22
-_MAX_REPORT_ENERGY = 4167676.760438968
+_MAX_REPORT_ENERGY = 4167676.601718171
 _REPORT_ENERGY = _energy_types(high=_MAX_REPORT_ENERGY)
 # a subnormal E carries fewer than 53 significant bits
 _PLAN_ENERGY = _energy_types(low=sys.float_info.min)
@@ -211,7 +211,7 @@ def _mode_options(args) -> None:
 
 
 def cmd_simulate(args) -> int:
-    from scipy.special import betaincinv  # imported here, as in fock.cutoff_for_energy
+    from scipy.special import betaincinv  # imported here: it is most of the import time
 
     _mode_options(args)
     try:
@@ -322,7 +322,7 @@ def cmd_wigner(args) -> int:
     if work > _MAX_WORK:
         raise _UsageError(f"argument -M with --points: points^2 * M = {work} "
                           f"exceeds {_MAX_WORK}")
-    params = CodeParams.from_energy(args.energy, args.M)
+    params = CodeParams(math.sqrt(args.energy), args.M, 0)  # the grid reads no cutoff
     halfwidth = args.halfwidth if args.halfwidth is not None else params.t + 4.0
     try:
         spec = GridSpec.centered(halfwidth, args.points)

@@ -65,21 +65,16 @@ def cutoff_for_energy(energy: float, tail_tol: float) -> int:
 
     energy = _check_nonnegative(energy, "energy")
     tail_tol = _check_probability(tail_tol, "tail_tol")
-    # scipy.special is imported where it is used: it is most of the import time
-    from scipy.special import gammainc
-    # P(X > n) for Poisson(E) is the regularized lower incomplete gamma,
-    # decreasing in n: bracket the first n below tail_tol, then bisect.
-    # Invariant: P(X > lo) >= tail_tol > P(X > hi); P(X > -1) = 1.
-    lo, hi = -1, math.ceil(energy) + 1
-    while gammainc(hi + 1, energy) >= tail_tol:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if gammainc(mid + 1, energy) >= tail_tol:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    # Bernstein: P(X >= E + d), P(X <= E - d) <= exp(-d^2 / (2 (E + d/3))) = e^-L
+    # = tail_tol e^-37, below the tail's rounding: [lo, hi] holds the answer
+    L = 37 - math.log(tail_tol)
+    d = L / 3 + math.sqrt((L / 3) ** 2 + 2 * L * energy)
+    if d > 2 ** 21:  # the reports' cap on photon numbers
+        raise ValueError(f"energy {energy!r} needs over 2^22 photon numbers in its tail sum")
+    lo, hi = max(0, math.floor(energy - d)), math.ceil(energy + d)
+    # tails[i] = P(X >= lo + i), summed from the top, where the terms are least
+    tails = np.cumsum(np.exp(_log_poisson_weights(energy, hi, lo))[::-1])[::-1]
+    return lo + int(np.count_nonzero(tails[1:] >= tail_tol))
 
 
 def density_cutoff(energy: float) -> int:
@@ -99,9 +94,9 @@ _STIRLERR = np.array([
 _BD0_TERMS = 18  # the series below runs for |v| < 1/3, and (1/3)^36 < 1e-17
 
 
-def _log_poisson_weights(energy: float, cutoff: int) -> np.ndarray:
-    """log(e^-E E^n / n!) for n = 0..cutoff, -inf where the weight is 0: every
-    photon-number weight is exp of it and every coherent amplitude exp of half.
+def _log_poisson_weights(energy: float, cutoff: int, start: int = 0) -> np.ndarray:
+    """log(e^-E E^n / n!) for n = start..cutoff, -inf where the weight is 0:
+    each photon-number weight is exp of it, each coherent amplitude exp of half.
 
     Loader's saddle-point form (C. Loader, "Fast and Accurate Computation of
     Binomial Probabilities", 2000; R's dpois): -E at n = 0, else
@@ -111,12 +106,11 @@ def _log_poisson_weights(energy: float, cutoff: int) -> np.ndarray:
     summed as d v + 2 n v sum_j v^2j / (2j + 1) with d = n - E, v = d/(n + E).
     Every step runs in place: the cutoff reaches 4e6 under the CLI's cap.
     """
-    from scipy.special import xlogy  # imported here, as in cutoff_for_energy
-
-    out = np.empty(cutoff + 1)
-    out[0] = -energy
-    bd0 = out[1:]
-    n = np.arange(1.0, cutoff + 1.0)
+    out = np.empty(cutoff + 1 - start)
+    first = max(start, 1)
+    out[:first - start] = -energy  # n = 0, when the range holds it
+    bd0 = out[first - start:]
+    n = np.arange(float(first), cutoff + 1.0)
     dv = n - energy
     v = n + energy
     np.divide(dv, v, out=v)
@@ -134,8 +128,13 @@ def _log_poisson_weights(energy: float, cutoff: int) -> np.ndarray:
     far = np.abs(v, out=v2) >= 1.0 / 3.0
     del dv, v, v2
     m = n[far]
-    # E/m, not m/E: at E = 0 the weight is exactly 0 with no division by zero
-    bd0[far] = energy - m - xlogy(m, energy / m)
+    # m log(E/m) with libm's log, as scipy's xlogy: np.log moves the last printed
+    # bit of about 1 element in 2,000.  E/m falls, so its zeros (E = 0 or tiny) are last.
+    logs = energy / m
+    k = np.count_nonzero(logs)
+    logs[:k] = np.fromiter(map(math.log, memoryview(logs[:k])), float, k)
+    logs[k:] = -math.inf
+    bd0[far] = energy - m - m * logs
     # stirlerr: the asymptotic series in 1/n^2, then the table up to 15
     u = np.reciprocal(n * n)
     stirlerr = u * (1.0 / 1188)
@@ -144,7 +143,7 @@ def _log_poisson_weights(energy: float, cutoff: int) -> np.ndarray:
         stirlerr *= u
     np.subtract(1.0 / 12, stirlerr, out=stirlerr)
     stirlerr /= n
-    stirlerr[:15] = _STIRLERR[:cutoff]
+    stirlerr[:max(16 - first, 0)] = _STIRLERR[first - 1:cutoff]
     bd0 += stirlerr
     np.multiply(n, 2.0 * math.pi, out=stirlerr)
     np.log(stirlerr, out=stirlerr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codestates import CodeParams, _check_order, _double, code_phases
-from .fock import FockVector
+from .fock import FockVector, _log_poisson_weights
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,10 @@ class StellarPolynomial:
 
 def stellar_polynomial(v: FockVector) -> StellarPolynomial:
     """Polynomial sum_n c_n alpha^n / sqrt(n!) with trailing zeros stripped."""
-    from scipy.special import gammaln  # imported here, as in fock.cutoff_for_energy
-
     c = np.asarray(v.amps)
     nz = np.flatnonzero(c)
     if nz.size == 0:
         raise ValueError("zero state has no stellar polynomial")
-    n = np.arange(nz[-1] + 1)
-    return StellarPolynomial(c[: nz[-1] + 1] * np.exp(-0.5 * gammaln(n + 1)))
+    # log(1/n!) = log(e^-1 1^n / n!) + 1, the Poisson(1) log weight plus 1
+    inv_sqrt_factorial = np.exp(0.5 * (_log_poisson_weights(1.0, nz[-1]) + 1.0))
+    return StellarPolynomial(c[: nz[-1] + 1] * inv_sqrt_factorial)

@@ -209,10 +209,12 @@ def _params_body(params: proto.ProtocolParams, role: str) -> dict:
             "repetitions": params.k, "epsilon": params.epsilon, "tau": params.tau}
 
 
-def _params_match(body: dict, params: proto.ProtocolParams) -> bool:
+def _hello_mismatch(body: dict, params: proto.ProtocolParams, peer: str) -> str:
+    if body.get("role") != peer:
+        return f"HELLO from role {body.get('role')!r}, expected {peer!r}"
     # Exact type() tests: bool is an int subclass, and JSON true == 1 == 1.0.
     # A real field may arrive as int because 1.0 is written as 1.
-    return (
+    return "" if (
         type(body.get("modulation")) is int
         and type(body.get("repetitions")) is int
         and type(body.get("energy")) in (int, float)
@@ -223,7 +225,7 @@ def _params_match(body: dict, params: proto.ProtocolParams) -> bool:
         and body.get("repetitions") == params.k
         and body.get("epsilon") == params.epsilon
         and body.get("tau") == params.tau
-    )
+    ) else "parameter mismatch in HELLO"
 
 
 class BobStrategy:
@@ -370,8 +372,8 @@ class AliceSession(_Endpoint):
         if self.state == "wait_hello":
             if message.kind != "HELLO":
                 return self._abort(f"expected HELLO, got {message.kind}")
-            if not _params_match(message.body, self.params):
-                return self._abort("parameter mismatch in HELLO")
+            if reason := _hello_mismatch(message.body, self.params, "bob"):
+                return self._abort(reason)
             bit = self.strategy.commitment_bit(self.params, self.rng)
             self.commitment, payload = proto.commit(bit, self.params, self.rng)
             received = proto.scale_payload(payload, math.sqrt(self.channel.tau))
@@ -416,8 +418,8 @@ class BobSession(_Endpoint):
                 f"protocol-state error: {message.kind} arrived in state {self.state}"
             )
         if self.state == "wait_hello":
-            if not _params_match(message.body, self.params):
-                return self._abort("parameter mismatch in HELLO")
+            if reason := _hello_mismatch(message.body, self.params, "alice"):
+                return self._abort(reason)
             self.state = "wait_commit"
             return [self._msg("HELLO", _params_body(self.params, "bob"))]
         if self.state == "wait_commit":

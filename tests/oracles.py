@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from phasebc.codestates import _check_bit, _signs, code_phases, eigen_sigma
 from phasebc.fock import (FockVector, _log_poisson_weights, _readonly, coherent_vector,
@@ -96,6 +97,12 @@ def helstrom_success(rho0, rho1):
     assert_density(rho1)
     diff = FockOperator(rho0.cutoff, rho0.matrix - rho1.matrix)
     return 0.5 + trace_norm(diff) / 4.0
+
+
+def stellar_coefficients(v):
+    """c_n / sqrt(n!) for n = 0..cutoff, with log n! from scipy's log-gamma
+    instead of the package's Poisson kernel."""
+    return np.asarray(v.amps) * np.exp(-0.5 * gammaln(np.arange(v.cutoff + 1) + 1))
 
 
 # The code states as dense matrices

@@ -21,6 +21,19 @@ def poisson_tail(energy, n_max):
     )
 
 
+def exact_tail(energy, n):
+    """P(X > n) for X ~ Poisson(energy) and n > energy, summed term by term at
+    40 digits until a term falls below 1e-25 of the sum."""
+    with mp.workdps(40):
+        term = mp.exp(-energy + (n + 1) * mp.log(energy) - mp.loggamma(n + 2))
+        tail, m = mp.mpf(0), n + 1
+        while term > tail * mp.mpf(1e-25):
+            tail += term
+            m += 1
+            term *= energy / mp.mpf(m)
+        return tail
+
+
 class TestCutoffForEnergy:
     def test_vacuum(self):
         assert cutoff_for_energy(0.0, 1e-12) == 0
@@ -58,6 +71,13 @@ class TestCutoffForEnergy:
                 expected = int(np.argmax(tails < tol))
                 assert cutoff_for_energy(float(energy), tol) == expected, (energy, tol)
 
+    @pytest.mark.parametrize("energy", [1e5, 4167676.7])
+    def test_tail_matches_exact_sum(self, energy):
+        # at 4167676.7 gammainc read P(X > 4182045) 5.6e-4 low, below 1e-12,
+        # where the exact sum is 1.00035e-12
+        n = cutoff_for_energy(energy, 1e-12)
+        assert exact_tail(energy, n) < 1e-12 <= exact_tail(energy, n - 1)
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             cutoff_for_energy(float("nan"), 1e-12)
@@ -65,6 +85,12 @@ class TestCutoffForEnergy:
             cutoff_for_energy(-1.0, 1e-12)
         with pytest.raises(ValueError):
             cutoff_for_energy(1.0, 0.0)
+
+    @pytest.mark.parametrize("energy", [1e11, 1e300])
+    def test_energy_beyond_the_window_cap(self, energy):
+        # the tail window would hold more than 2^22 photon numbers
+        with pytest.raises(ValueError, match="over 2\\^22 photon numbers"):
+            cutoff_for_energy(energy, 1e-12)
 
 
 class TestCoherentVector:

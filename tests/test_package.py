@@ -59,16 +59,36 @@ def test_every_method_is_referenced():
     assert unused == []
 
 
-def test_no_module_imports_scipy_linalg():
-    # expm was the only user; the displacement oracle keeps it in tests
-    imports = []
+def imports():
+    """(module, innermost enclosing function or None, dotted name) for every
+    name that a module under src/phasebc imports."""
+    found = []
     for module, tree in parse_modules().items():
+        # ast.walk visits an outer function before the functions inside it
+        scope = {id(node): function.name for function in ast.walk(tree)
+                 if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(function)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                imports += [(module, alias.name) for alias in node.names]
+                found += [(module, scope.get(id(node)), alias.name) for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module:
-                imports += [(module, f"{node.module}.{alias.name}") for alias in node.names]
-    assert [(m, name) for m, name in imports if name.startswith("scipy.linalg")] == []
+                found += [(module, scope.get(id(node)), f"{node.module}.{alias.name}")
+                          for alias in node.names]
+    return found
+
+
+def test_no_module_imports_scipy_linalg():
+    # expm was the only user; the displacement oracle keeps it in tests
+    assert [(m, name) for m, _, name in imports() if name.startswith("scipy.linalg")] == []
+
+
+def test_one_scipy_import_site():
+    # scipy.special is most of the start-up time: the Poisson tails, weights
+    # and log-factorials come from fock's kernel, and only simulate's
+    # Clopper-Pearson interval imports it, when it runs
+    sites = [(module, function) for module, function, name in imports()
+             if name.split(".")[0] == "scipy"]
+    assert sites == [("cli", "cmd_simulate")]
 
 
 def test_one_float_format_spec():

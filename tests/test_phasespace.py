@@ -13,6 +13,7 @@ from phasebc.phasespace import (
     wigner_sigma,
 )
 
+import oracles
 from oracles import class_vectors
 
 
@@ -66,6 +67,19 @@ class TestStellarPolynomial:
         expected = np.asarray(v.amps) / np.sqrt(
             np.array([math.factorial(int(i)) for i in n]))
         assert np.abs(poly.coeffs - expected).max() < 1e-15
+
+    @pytest.mark.parametrize("alpha, cutoff", [(1.0, 6), (0.5j, 40), (3 - 2j, 150),
+                                               (12.0, 250)])
+    def test_coefficients_match_log_gamma_oracle(self, alpha, cutoff):
+        # a few ulps of the exponent -log(n!)/2, each a relative error of
+        # eps |exponent| in the coefficient
+        v = coherent_vector(alpha, cutoff)
+        poly = stellar_polynomial(v)
+        expected = oracles.stellar_coefficients(v)
+        assert poly.degree == cutoff and np.all(expected != 0)
+        exponent = 0.5 * np.array([math.lgamma(n + 1.0) for n in range(cutoff + 1)])
+        rel = np.abs(poly.coeffs / expected - 1)
+        assert np.all(rel <= 4 * np.finfo(float).eps * (1 + exponent))
 
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):

@@ -387,6 +387,28 @@ class TestStateMachine:
         amps = [[1.0, 0.0]] * k
         bob.handle(tp.WireMessage("COMMIT", "s", {"amplitudes": amps}))
 
+    @pytest.mark.parametrize("endpoint, role", [
+        ("alice", "alice"), ("alice", None), ("alice", "eve"),
+        ("bob", "bob"), ("bob", None), ("bob", "eve"),
+    ], ids=["alice-reflected", "alice-missing", "alice-foreign",
+            "bob-reflected", "bob-missing", "bob-foreign"])
+    def test_hello_from_another_role_aborts(self, endpoint, role):
+        # a HELLO counts only from the peer: an endpoint's own HELLO handed
+        # back, one with no role and one from a third role end the session
+        params = make_params()
+        body = {key: value for key, value in tp._params_body(params, role).items()
+                if value is not None}
+        if endpoint == "bob":
+            session = self.bob(params)
+        else:
+            session = tp.AliceSession(proto.HonestAlice(0), params, tp.ChannelModel(),
+                                      np.random.default_rng(0), "s")
+            session.start()
+        replies = session.handle(tp.WireMessage("HELLO", "s", body))
+        assert [r.kind for r in replies] == ["ABORT"]
+        assert session.state == "aborted" and session.verdict is None
+        assert repr(role) in replies[0].body["reason"]
+
     def test_hello_field_types_checked(self):
         # JSON true equals 1 and 1.0; an energy of 1.0 arrives as the int 1
         params = make_params(k=1)
