@@ -121,11 +121,15 @@ class StellarPolynomial:
 
 
 def stellar_polynomial(v: FockVector) -> StellarPolynomial:
-    """Polynomial sum_n c_n alpha^n / sqrt(n!) with trailing zeros stripped."""
+    """Polynomial sum_n d_n alpha^n, d_n = c_n / sqrt(n!), with the trailing zeros
+    of d stripped: d_n can underflow to 0 where c_n does not (from n = 178 for
+    a coherent state at alpha = 1)."""
     c = np.asarray(v.amps)
-    nz = np.flatnonzero(c)
-    if nz.size == 0:
+    if not c.any():
         raise ValueError("zero state has no stellar polynomial")
     # log(1/n!) = log(e^-1 1^n / n!) + 1, the Poisson(1) log weight plus 1
-    inv_sqrt_factorial = np.exp(0.5 * (_log_poisson_weights(1.0, nz[-1]) + 1.0))
-    return StellarPolynomial(c[: nz[-1] + 1] * inv_sqrt_factorial)
+    d = c * np.exp(0.5 * (_log_poisson_weights(1.0, v.cutoff) + 1.0))
+    nz = np.flatnonzero(d)
+    if nz.size == 0:
+        raise ValueError("every coefficient c_n / sqrt(n!) underflows to 0")
+    return StellarPolynomial(d[: nz[-1] + 1])

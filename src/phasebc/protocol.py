@@ -82,11 +82,13 @@ class Verdict:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(self.counts)
-        # exact integer types, so that 0.5 and True are refused, not read as 0 and 1
-        if not set(map(type, counts)) <= _INT_TYPES:
+        # exact types: 1 is no acceptance, 0.5 or True no count, "00" no counts
+        if type(self.accepted) is not bool:
+            raise ValueError(f"acceptance must be a bool, got {self.accepted!r}")
+        counts = self.counts
+        if type(counts) not in (list, tuple) or not set(map(type, counts)) <= _INT_TYPES:
             raise ValueError(f"photon counts must be integers, got {counts!r}")
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", tuple(counts))
         if self.accepted != (not any(counts)):
             raise ValueError("verdict inconsistent with counts")
 
@@ -171,16 +173,12 @@ def bob_verify(payload: QuantumPayload, revealed: tuple[int, tuple[int, ...]],
     Accepts only if every mode yields zero photons.
     """
     revealed_b, revealed_m = revealed
-    if len(revealed_m) != len(payload):
-        raise ProtocolAbort(
-            f"reveal length {len(revealed_m)} != payload length {len(payload)}"
-        )
     try:
         targets = expected_amplitudes(revealed_b, revealed_m, params)
     except ValueError as exc:
         raise ProtocolAbort(f"malformed reveal: {exc}") from exc
     counts = payload.count_after_displacement(-targets, rng)
-    return Verdict(not counts.any(), tuple(counts.tolist()))
+    return Verdict(not counts.any(), counts.tolist())
 
 
 def cheat_open(commitment: Commitment, target_b: int) -> tuple[int, tuple[int, ...]]:
@@ -194,8 +192,6 @@ def cheat_open(commitment: Commitment, target_b: int) -> tuple[int, tuple[int, .
 
 class AliceStrategy:
     """Commit-phase behavior plus the reveal rule; subclass to extend."""
-
-    name = "abstract"
 
     def commitment_bit(self, params: ProtocolParams, rng: np.random.Generator) -> int:
         raise NotImplementedError

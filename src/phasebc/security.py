@@ -94,14 +94,16 @@ def _secular_trace_norm(weights: np.ndarray, M: int) -> float:
     return 2.0 * math.fsum(top * nu)
 
 
-def numeric_trace_norm_check(t: float, M: int) -> tuple[float, float, bool]:
+def numeric_trace_norm_check(t: float, M: int, bound: TraceNormBound | None = None
+                             ) -> tuple[float, float, bool]:
     """Numeric ||rho - sigma_0||_1 against the closed-form bound.
 
-    ok is vacuously true when the bound's validity condition fails.  Warns
-    if the truncation tail is too heavy for the comparison to be trusted.
+    bound is trace_norm_bound(t, M) unless given.  ok is vacuously true when
+    the bound is not valid.  Warns if the truncation tail is too heavy for
+    the comparison to be trusted.
     """
     t, M = _check_nonnegative(t, "amplitude t"), _check_order(M)
-    bound = trace_norm_bound(t, M)
+    bound = bound or trace_norm_bound(t, M)
     cutoff = density_cutoff(t * t)
     weights = poisson_weights(t * t, cutoff)
     tail = 1.0 - float(weights.sum())
@@ -137,16 +139,18 @@ class SecurityCheck:
     sufficient_pair: tuple[bool, bool] | None  # unit-energy shortcut conditions
 
 
-def epsilon_secure_check(t: float, M: int, k: int, epsilon: float) -> SecurityCheck:
+def epsilon_secure_check(t: float, M: int, k: int, epsilon: float,
+                         bound: TraceNormBound | None = None) -> SecurityCheck:
     """Both cheating probabilities at or below epsilon.
 
     Evaluates the general pair exp(-4 t^2 k sin^2(pi/2M)) <= eps and
     2 k (2 e t^2/M)^{M/2} <= eps.  At t = 1 the coarser sufficient pair
-    exp(-k/M^2) <= eps and same second condition is reported as well.
+    exp(-k/M^2) <= eps and same second condition is reported as well.  bound
+    is trace_norm_bound(t, M) unless given.
     """
     epsilon = _check_probability(epsilon)
     t, M, k = _check_nonnegative(t, "amplitude t"), _check_order(M), _check_count(k)
-    pcb = pcb_bound(t, M, k)
+    pcb = k * (bound or trace_norm_bound(t, M)).value  # pcb_bound(t, M, k)
     pca = pca_exact(t * t, k, M)
     failed = []
     if pca > epsilon:
@@ -252,16 +256,15 @@ class SecurityReport:
 def security_report(t: float, M: int, k: int, epsilon: float) -> SecurityReport:
     epsilon = _check_probability(epsilon)
     t, M, k = _check_nonnegative(t, "amplitude t"), _check_order(M), _check_count(k)
-    check = epsilon_secure_check(t, M, k, epsilon)  # refuses t * t = inf before the solve
-    numeric, bound_value, _ = numeric_trace_norm_check(t, M)
-    b = trace_norm_bound(t, M)
+    bound = trace_norm_bound(t, M)
+    check = epsilon_secure_check(t, M, k, epsilon, bound)  # refuses t * t = inf first
     return SecurityReport(
         t=t, M=M, k=k, epsilon=epsilon,
         pcb_bound=check.pcb,
         pca_exact=check.pca,
-        trace_norm_numeric=numeric,
-        trace_norm_bound=bound_value,
-        bound_valid=b.valid,
-        simplified_bound=b.simplified,
+        trace_norm_numeric=numeric_trace_norm_check(t, M, bound)[0],
+        trace_norm_bound=bound.value,
+        bound_valid=bound.valid,
+        simplified_bound=bound.simplified,
         feasible=check.ok,
     )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import socket
 import threading
 from collections import deque
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import protocol as proto
 from .codestates import (_FLOAT_TYPES, _INT_TYPES, _REAL_TYPES, CodeParams, _by_class,
-                         _check_transmittivity, eigen_sigma)
+                         eigen_sigma)
 from .fock import coherent_vector
 
 KINDS = ("HELLO", "COMMIT", "OPEN", "VERDICT", "ABORT")
@@ -66,17 +67,14 @@ class WireMessage:
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Link transmittivity plus the adversarial-receiver switch.
+    """The adversarial-receiver switch of a session's link.
 
-    Only the session runner constructs one of these; strategies never see
-    it, mirroring a provider-secured line.
+    The link scales every amplitude by sqrt(tau), with tau the agreed
+    ProtocolParams.tau.  Only the session runner constructs one of these;
+    strategies never see it, mirroring a provider-secured line.
     """
 
-    tau: float = 1.0
     adversarial_bob: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau", _check_transmittivity(self.tau))
 
 
 # format() writes the zeros as "0" and "-0", and json reads a bare 0 as an int
@@ -185,11 +183,12 @@ def decode_line(line: bytes, offset: int = 0) -> WireMessage:
         raise DecodeError("message is not an object", offset)
     kind = doc.pop("kind", None)
     session = doc.pop("session", None)
-    if kind not in KINDS:
-        raise DecodeError(f"unknown kind tag {kind!r}", offset)
     if not isinstance(session, str):
         raise DecodeError("missing session id", offset)
-    return WireMessage(kind, session, doc)
+    try:
+        return WireMessage(kind, session, doc)
+    except ValueError as exc:  # an unknown kind
+        raise DecodeError(str(exc), offset) from exc
 
 
 @dataclass(frozen=True)
@@ -204,34 +203,34 @@ class SessionTranscript:
         return b"".join(encode(m) for m in self.messages)
 
 
+# HELLO's fields after the role: wire name, ProtocolParams attribute and the exact
+# types it may arrive as (bool is an int subclass, and JSON true == 1 == 1.0; a
+# real may arrive as an int, since 1.0 is written as 1)
+_HELLO_NAMES, _HELLO_ATTRS, _HELLO_TYPES = zip(
+    ("energy", "energy", {int, float}), ("modulation", "M", {int}),
+    ("repetitions", "k", {int}), ("epsilon", "epsilon", {int, float}),
+    ("tau", "tau", {int, float}))
+_agreed, _stated = operator.attrgetter(*_HELLO_ATTRS), operator.itemgetter(*_HELLO_NAMES)
+
+
 def _params_body(params: proto.ProtocolParams, role: str) -> dict:
-    return {"role": role, "energy": params.energy, "modulation": params.M,
-            "repetitions": params.k, "epsilon": params.epsilon, "tau": params.tau}
+    return dict(zip(("role", *_HELLO_NAMES), (role, *_agreed(params))))
 
 
 def _hello_mismatch(body: dict, params: proto.ProtocolParams, peer: str) -> str:
     if body.get("role") != peer:
         return f"HELLO from role {body.get('role')!r}, expected {peer!r}"
-    # Exact type() tests: bool is an int subclass, and JSON true == 1 == 1.0.
-    # A real field may arrive as int because 1.0 is written as 1.
-    return "" if (
-        type(body.get("modulation")) is int
-        and type(body.get("repetitions")) is int
-        and type(body.get("energy")) in (int, float)
-        and type(body.get("epsilon")) in (int, float)
-        and type(body.get("tau")) in (int, float)
-        and body.get("energy") == params.energy
-        and body.get("modulation") == params.M
-        and body.get("repetitions") == params.k
-        and body.get("epsilon") == params.epsilon
-        and body.get("tau") == params.tau
-    ) else "parameter mismatch in HELLO"
+    try:
+        stated = _stated(body)
+    except KeyError:  # a field left out
+        stated = ()
+    agreed = stated == _agreed(params) and all(map(set.__contains__, _HELLO_TYPES,
+                                                map(type, stated)))
+    return "" if agreed else "parameter mismatch in HELLO"
 
 
 class BobStrategy:
     """Receiver behavior; the honest one only ever displaces and counts."""
-
-    name = "honest"
 
     def observe_commit(self, payload: proto.QuantumPayload,
                        params: proto.ProtocolParams,
@@ -266,8 +265,6 @@ class HelstromBob(BobStrategy):
     amplitude (its bytes, which also tell 0.0 from -0.0), for a few times
     2M amplitudes at most.
     """
-
-    name = "helstrom"
 
     def __init__(self, code_params: CodeParams):
         M, N = code_params.M, code_params.cutoff
@@ -309,9 +306,13 @@ def _is_list_of(value, types) -> bool:
 
 
 class _Endpoint:
-    """State shared by both endpoint state machines."""
+    """State shared by both endpoint state machines: expects maps each state
+    that reads a message to the one kind it reads besides ABORT, role is the
+    role this endpoint's HELLO states and peer the one the peer's must."""
 
     initial_state = ""
+    expects: dict[str, str] = {}
+    role = peer = ""
 
     def __init__(self, strategy, params: proto.ProtocolParams,
                  channel: ChannelModel, rng: np.random.Generator, session_id: str):
@@ -341,98 +342,86 @@ class _Endpoint:
         return []
 
     def _prologue(self, message: WireMessage) -> list[WireMessage] | None:
-        """Replies for a message that ends the session whatever the state, else None."""
-        if self.done:
-            raise ProtocolStateError("session is terminal")
+        """Replies for a message that ends the session here (an ABORT, a foreign
+        session id, a kind out of order, a HELLO that disagrees), else None."""
+        expected = self.expects.get(self.state)
+        if expected is None:  # not started, or finished
+            raise ProtocolStateError(f"{message.kind} arrived in state {self.state}")
         if message.session_id != self.session_id:
             return self._abort("session id mismatch")
         if message.kind == "ABORT":
             self.state = "aborted"
             self.abort_reason = str(message.body.get("reason", ""))
             return []
-        return None
+        if message.kind != expected:
+            return self._abort(
+                f"protocol-state error: {message.kind} arrived in state {self.state}")
+        reason = expected == "HELLO" and _hello_mismatch(message.body, self.params, self.peer)
+        return self._abort(reason) if reason else None
 
 
 class AliceSession(_Endpoint):
     """Sender state machine; drives the session."""
 
     initial_state = "init"
+    expects = {"wait_hello": "HELLO", "wait_verdict": "VERDICT"}
+    role, peer = "alice", "bob"
     commitment: proto.Commitment | None = None
 
     def start(self) -> list[WireMessage]:
         if self.state != "init":
             raise ProtocolStateError("session already started")
         self.state = "wait_hello"
-        return [self._msg("HELLO", _params_body(self.params, "alice"))]
+        return [self._msg("HELLO", _params_body(self.params, self.role))]
 
     def handle(self, message: WireMessage) -> list[WireMessage]:
         replies = self._prologue(message)
         if replies is not None:
             return replies
         if self.state == "wait_hello":
-            if message.kind != "HELLO":
-                return self._abort(f"expected HELLO, got {message.kind}")
-            if reason := _hello_mismatch(message.body, self.params, "bob"):
-                return self._abort(reason)
             bit = self.strategy.commitment_bit(self.params, self.rng)
             self.commitment, payload = proto.commit(bit, self.params, self.rng)
-            received = proto.scale_payload(payload, math.sqrt(self.channel.tau))
+            received = proto.scale_payload(payload, math.sqrt(self.params.tau))
             amps = proto._raw_amplitudes(received)
             revealed_b, revealed_m = self.strategy.reveal(self.commitment)
             self.state = "wait_verdict"
-            return [
-                self._msg("COMMIT", {
-                    "amplitudes": np.column_stack((amps.real, amps.imag)).tolist(),
-                }),
-                self._msg("OPEN", {"bit": revealed_b, "phases": list(revealed_m)}),
-            ]
-        if self.state == "wait_verdict":
-            if message.kind != "VERDICT":
-                return self._abort(f"expected VERDICT, got {message.kind}")
-            accepted = message.body.get("accepted")
-            counts = message.body.get("counts")
-            if not (isinstance(accepted, bool) and _is_list_of(counts, _INT_TYPES)):
-                return self._abort("malformed VERDICT body")
-            try:
-                self.verdict = proto.Verdict(accepted, tuple(counts))
-            except ValueError:
-                return self._abort("malformed VERDICT body")
-            self.state = "done"
-            return []
-        raise ProtocolStateError(f"unhandled state {self.state}")
+            pairs = np.column_stack((amps.real, amps.imag)).tolist()
+            return [self._msg("COMMIT", {"amplitudes": pairs}),
+                    self._msg("OPEN", {"bit": revealed_b, "phases": list(revealed_m)})]
+        try:  # wait_verdict
+            self.verdict = proto.Verdict(message.body.get("accepted"),
+                                         message.body.get("counts"))
+        except ValueError:
+            return self._abort("malformed VERDICT body")
+        self.state = "done"
+        return []
 
 
 class BobSession(_Endpoint):
     """Receiver state machine; responds to the sender's messages."""
 
     initial_state = "wait_hello"
+    expects = {"wait_hello": "HELLO", "wait_commit": "COMMIT", "wait_open": "OPEN"}
+    role, peer = "bob", "alice"
     _payload: proto.QuantumPayload | None = None
 
     def handle(self, message: WireMessage) -> list[WireMessage]:
         replies = self._prologue(message)
         if replies is not None:
             return replies
-        if message.kind != {"wait_hello": "HELLO", "wait_commit": "COMMIT",
-                            "wait_open": "OPEN"}[self.state]:
-            return self._abort(
-                f"protocol-state error: {message.kind} arrived in state {self.state}"
-            )
         if self.state == "wait_hello":
-            if reason := _hello_mismatch(message.body, self.params, "alice"):
-                return self._abort(reason)
             self.state = "wait_commit"
-            return [self._msg("HELLO", _params_body(self.params, "bob"))]
+            return [self._msg("HELLO", _params_body(self.params, self.role))]
         if self.state == "wait_commit":
             pairs = message.body.get("amplitudes")
             flat = (list(chain.from_iterable(pairs))
                     if _is_list_of(pairs, {list}) and set(map(len, pairs)) <= {2} else None)
-            if not _is_list_of(flat, _REAL_TYPES):
-                return self._abort("malformed COMMIT body")
             try:  # each [re, im] pair of doubles is laid out as one complex128
-                amps = np.array(flat, dtype=np.float64).view(np.complex128)
+                amps = (np.array(flat, dtype=np.float64).view(np.complex128)
+                        if _is_list_of(flat, _REAL_TYPES) else None)
             except OverflowError:  # an int beyond the double range
-                return self._abort("malformed COMMIT body")
-            if not np.isfinite(amps).all():
+                amps = None
+            if amps is None or not np.isfinite(amps).all():
                 return self._abort("malformed COMMIT body")
             if amps.size != self.params.k:
                 return self._abort("payload length mismatch")
@@ -453,10 +442,8 @@ class BobSession(_Endpoint):
         except proto.ProtocolAbort as exc:
             return self._abort(str(exc))
         self.state = "done"
-        return [self._msg("VERDICT", {
-            "accepted": self.verdict.accepted,
-            "counts": list(self.verdict.counts),
-        })]
+        return [self._msg("VERDICT", {"accepted": self.verdict.accepted,
+                                      "counts": list(self.verdict.counts)})]
 
 
 def _endpoints(alice_strategy: proto.AliceStrategy | None,
@@ -465,7 +452,7 @@ def _endpoints(alice_strategy: proto.AliceStrategy | None,
                bob_params: proto.ProtocolParams | None = None
                ) -> tuple[AliceSession, BobSession]:
     """Both endpoints of one session, each with its half of the split seed."""
-    channel = channel or ChannelModel(tau=params.tau)
+    channel = channel or ChannelModel()
     alice_seed, bob_seed = np.random.SeedSequence(seed).spawn(2)
     return (AliceSession(alice_strategy, params, channel,
                          np.random.default_rng(alice_seed), session_id),
@@ -492,9 +479,9 @@ def run_session(alice_strategy: proto.AliceStrategy, bob_strategy: BobStrategy,
 
     transport="loopback" pumps the two state machines in process;
     transport="tcp" runs the receiver on a localhost socket in a thread.
-    Transcripts are identical between the two for equal seeds.  The
-    default channel matches the transmittivity the sender pre-compensates
-    for.
+    Transcripts are identical between the two for equal seeds.  The link
+    scales the amplitudes by sqrt(params.tau), the transmittivity the sender
+    pre-compensates for.
     """
     alice, bob = _endpoints(alice_strategy, bob_strategy, params, channel, seed,
                             session_id, bob_params)

@@ -7,6 +7,7 @@ import ast
 from pathlib import Path
 
 import phasebc
+from phasebc.transport import AliceSession, BobSession
 
 PACKAGE = Path(phasebc.__file__).resolve().parent
 # the code that may call a package method: the package, its tests and its benchmark
@@ -98,3 +99,18 @@ def test_one_float_format_spec():
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              for _ in range(node.value.count(".17g"))]
     assert specs == ["transport"]
+
+
+def test_one_comparison_against_kinds():
+    # WireMessage alone tests a kind; decode_line turns its ValueError into a
+    # DecodeError with the line's offset
+    sites = [module for module, tree in parse_modules().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Compare)
+             and "KINDS" in {n.id for n in node.comparators if isinstance(n, ast.Name)}]
+    assert sites == ["transport"]
+
+
+def test_both_endpoints_define_handle():
+    # the benchmark's tracer wraps these two class attributes, and a missing
+    # one reads as 0 instead of failing
+    assert "handle" in AliceSession.__dict__ and "handle" in BobSession.__dict__

@@ -15,7 +15,6 @@ from phasebc.phasespace import GridSpec
 from phasebc.protocol import ProtocolParams
 from phasebc.security import (epsilon_secure_check, find_params, numeric_trace_norm_check,
                               pca_exact, pcb_bound, security_report, trace_norm_bound)
-from phasebc.transport import ChannelModel
 
 # Each entry point with valid arguments and the rule of each position:
 # r a non-negative real, o an order, c a count, p a probability, t a
@@ -23,7 +22,6 @@ from phasebc.transport import ChannelModel
 ENTRY_POINTS = {
     "ProtocolParams": (ProtocolParams, (1.0, 8, 4, 0.01, 0.5), "rocpt"),
     "CodeParams": (lambda t, M: CodeParams(t, M, 30), (1.0, 8), "ro"),
-    "ChannelModel": (ChannelModel, (0.5,), "t"),
     "cutoff_for_energy": (cutoff_for_energy, (1.0, 1e-12), "rp"),
     "trace_norm_bound": (trace_norm_bound, (1.0, 8), "ro"),
     "numeric_trace_norm_check": (numeric_trace_norm_check, (1.0, 8), "ro"),
@@ -81,7 +79,6 @@ def test_bad_value_raises_value_error(name, i, value):
     lambda: ProtocolParams(True, 8, 1),
     lambda: ProtocolParams(1.0, 8, 1, 0.01, True),
     lambda: CodeParams(True, 8, 30),
-    lambda: ChannelModel(True),
     lambda: find_params(0.01, True),
     lambda: cutoff_for_energy(True, 1e-12),
 ], ids=["pca_exact-negative-energy", "pca_exact-nan-energy", "pcb_bound-float-M-and-k",
@@ -89,7 +86,7 @@ def test_bad_value_raises_value_error(name, i, value):
         "trace_norm_bound-huge-M", "pcb_bound-huge-k", "pca_exact-huge-k",
         "epsilon_secure_check-huge-k", "find_params-float-scan-limit",
         "ProtocolParams-bool-energy", "ProtocolParams-bool-tau", "CodeParams-bool-t",
-        "ChannelModel-bool-tau", "find_params-bool-t", "cutoff_for_energy-bool-energy"])
+        "find_params-bool-t", "cutoff_for_energy-bool-energy"])
 def test_reported_bad_call_raises_value_error(call):
     with pytest.raises(ValueError):
         call()

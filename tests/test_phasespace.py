@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -101,6 +102,25 @@ class TestStellarPolynomial:
     def test_trailing_zeros_stripped(self):
         v = FockVector(6, np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]))
         assert stellar_polynomial(v).degree == 1
+
+    @pytest.mark.parametrize("alpha, cutoff, degree", [(1.0, 200, 177), (12.0, 400, 301)])
+    def test_underflowed_coefficients_stripped(self, alpha, cutoff, degree):
+        # c_n / sqrt(n!) underflows to 0 past the degree while c_n is nonzero;
+        # stripping the zeros of c alone once left a zero leading coefficient
+        v = coherent_vector(alpha, cutoff)
+        poly = stellar_polynomial(v)
+        assert v.amps[degree + 1] != 0 and poly.degree == degree
+        assert poly.origin_multiplicity() == 0
+        # the coefficients kept are those of a truncation at the degree, bit for bit
+        short = stellar_polynomial(coherent_vector(alpha, degree))
+        assert np.array_equal(poly.coeffs, short.coeffs)
+
+    def test_class_vector_coefficients_unchanged(self):
+        # the coefficients criterion 8 reads, pinned by their bytes
+        vectors = class_vectors(0, CodeParams.from_energy(1.0, 4))
+        data = b"".join(stellar_polynomial(v).coeffs.tobytes() for v in vectors)
+        assert hashlib.sha256(data).hexdigest() == (
+            "00b77ee53b9782a75ddf26649ba5ef90ea890419ce84a4a11de66acc0e48f7d4")
 
 
 class TestGridSpec:

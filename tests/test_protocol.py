@@ -112,6 +112,15 @@ class TestBobVerify:
         with pytest.raises(ValueError, match="photon counts must be integers"):
             Verdict(not any(counts), counts)
 
+    @pytest.mark.parametrize("accepted, counts", [
+        (1, (0,)), ("false", (0,)), (None, (0,)), (True, ""), (True, {}), (True, None),
+        (True, 0)], ids=["1", "'false'", "None", "empty-string", "dict", "None-counts", "int"])
+    def test_verdict_refuses_other_types(self, accepted, counts):
+        # Verdict alone tests a VERDICT body: the receiving sender passes it the
+        # decoded fields as they came
+        with pytest.raises(ValueError):
+            Verdict(accepted, counts)
+
     def test_verdict_takes_numpy_integer_counts(self):
         assert Verdict(False, (np.int64(2), 0)).counts == (2, 0)
 

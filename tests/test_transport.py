@@ -42,8 +42,10 @@ class TestWireFormat:
             assert tp.decode_line(tp.encode(msg)) == msg
 
     def test_unknown_kind(self):
-        with pytest.raises(tp.DecodeError):
-            tp.decode_line(b'{"kind": "NOPE", "session": "s"}\n')
+        # WireMessage refuses the kind; decode_line adds the line's offset
+        with pytest.raises(tp.DecodeError, match="'NOPE'") as err:
+            tp.decode_line(b'{"kind": "NOPE", "session": "s"}\n', offset=17)
+        assert err.value.offset == 17 and str(err.value).endswith("(byte offset 17)")
 
     def test_non_object_line(self):
         with pytest.raises(tp.DecodeError):
@@ -220,12 +222,11 @@ class TestSessions:
         assert [m.kind for m in t.messages] == ["HELLO", "ABORT"]
 
     def test_lossy_channel_still_accepts(self):
-        # pre-compensation keeps residuals at rounding scale, counts stay zero
+        # over a link of the agreed tau, pre-compensation keeps residuals at
+        # rounding scale and counts stay zero
         params = make_params(tau=0.5)
-        channel = tp.ChannelModel(tau=0.5)
         for seed in range(20):
-            t = tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), params,
-                               channel=channel, seed=seed)
+            t = tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), params, seed=seed)
             assert t.verdict.accepted
 
     def test_default_channel_follows_params_tau(self):
@@ -272,12 +273,13 @@ class TestSessions:
         assert results["bob"].to_bytes() == alice_t.to_bytes()
 
 
-# sha256 of to_bytes() for three fixed sessions.  Transcript bytes must stay
+# sha256 of to_bytes() for four fixed sessions.  Transcript bytes must stay
 # the same across commits, not only across reruns and transports.
 GOLDEN = {
     "honest": "73659c8b21914772c2218392af1914cc09ffc0ac49861fbcc9dcda5ab9f49266",
     "cheat": "3807e24d54352ac3e0e03e868e052a459f95fc436e8be86b5bd4aab4ab8cb1d1",
     "mismatch": "cb93c8e188383e1f34ca656862ac3dcafbc5461849bb10c313af3c7ec4ded5a2",
+    "lossy": "b48eae6cc84d45caddb8cd7fd3a89f57272d540048c34ac2b91757c029d5da88",
 }
 
 
@@ -291,6 +293,8 @@ def test_golden_transcripts(case, transport):
                       params=make_params(M=4, k=10), seed=(31, 5)),
         "mismatch": dict(alice_strategy=proto.HonestAlice(0), params=make_params(),
                          seed=1, bob_params=make_params(k=5)),
+        "lossy": dict(alice_strategy=proto.HonestAlice(0), params=make_params(tau=0.5),
+                      seed=11),
     }
     t = tp.run_session(bob_strategy=tp.BobStrategy(), session_id=f"golden-{case}",
                        transport=transport, **sessions[case])
@@ -554,6 +558,54 @@ class TestStateMachine:
         with pytest.raises(tp.ProtocolStateError):
             alice.handle(tp.WireMessage("HELLO", "s", {}))
 
+    def endpoint_in(self, endpoint, state):
+        """An endpoint of a k = 4 session driven by valid messages into state."""
+        params = make_params()
+        if endpoint == "alice":
+            session = tp.AliceSession(proto.HonestAlice(0), params, tp.ChannelModel(),
+                                      np.random.default_rng(0), "s")
+            steps = {"init": [], "wait_hello": ["start"],
+                     "wait_verdict": ["start", ("HELLO", tp._params_body(params, "bob"))],
+                     "done": ["start", ("HELLO", tp._params_body(params, "bob")),
+                              ("VERDICT", {"accepted": True, "counts": [0] * 4})]}[state]
+        else:
+            session = self.bob(params)
+            feed = [("HELLO", tp._params_body(params, "alice")),
+                    ("COMMIT", {"amplitudes": [[1.0, 0.0]] * 4}),
+                    ("OPEN", {"bit": 0, "phases": [0] * 4})]
+            steps = feed[:["wait_hello", "wait_commit", "wait_open", "done"].index(state)]
+        for step in steps:
+            if step == "start":
+                session.start()
+            else:
+                session.handle(tp.WireMessage(step[0], "s", step[1]))
+        assert session.state == state
+        return session
+
+    # the one kind each endpoint reads in each state, besides ABORT
+    READS = {("alice", "wait_hello"): "HELLO", ("alice", "wait_verdict"): "VERDICT",
+             ("bob", "wait_hello"): "HELLO", ("bob", "wait_commit"): "COMMIT",
+             ("bob", "wait_open"): "OPEN"}
+
+    @pytest.mark.parametrize("endpoint, state, kind", [
+        (endpoint, state, kind) for (endpoint, state), read in READS.items()
+        for kind in tp.KINDS if kind not in (read, "ABORT")])
+    def test_wrong_kind_aborts_with_the_state_error(self, endpoint, state, kind):
+        session = self.endpoint_in(endpoint, state)
+        replies = session.handle(tp.WireMessage(kind, "s", {}))
+        reason = f"protocol-state error: {kind} arrived in state {state}"
+        assert [(r.kind, r.body) for r in replies] == [("ABORT", {"reason": reason})]
+        assert session.state == "aborted" and session.abort_reason == reason
+
+    @pytest.mark.parametrize("endpoint, state", [
+        ("alice", "init"), ("alice", "done"), ("bob", "done")])
+    @pytest.mark.parametrize("kind", tp.KINDS)
+    def test_endpoint_that_reads_nothing_raises(self, endpoint, state, kind):
+        session = self.endpoint_in(endpoint, state)
+        with pytest.raises(tp.ProtocolStateError, match=f"{kind} arrived in state {state}"):
+            session.handle(tp.WireMessage(kind, "s", {}))
+        assert session.state == state
+
     def test_malformed_verdict_body_aborts(self):
         # "false" is a truthy string; it must not read as an acceptance
         for body in ({"accepted": "false", "counts": [0, 0, 0, 0]},
@@ -572,6 +624,31 @@ class TestStateMachine:
             assert replies[0].kind == "ABORT"
             assert "malformed VERDICT" in replies[0].body["reason"]
             assert alice.verdict is None
+
+
+class WrongLengthReveal(proto.HonestAlice):
+    def reveal(self, commitment):
+        return commitment.b, commitment.m[:-1]
+
+
+class TestWrongLengthReveal:
+    REASON = "displacement record length 3 != payload length 4"
+
+    def test_bob_verify_aborts(self):
+        params = make_params()
+        c, payload = proto.commit(0, params, np.random.default_rng(0))
+        with pytest.raises(proto.ProtocolAbort) as err:
+            proto.bob_verify(payload, WrongLengthReveal(0).reveal(c), params,
+                             np.random.default_rng(1))
+        assert str(err.value) == self.REASON
+
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_session_aborts_once(self, transport):
+        t = tp.run_session(WrongLengthReveal(0), tp.BobStrategy(), make_params(), seed=3,
+                           transport=transport)
+        assert [m.kind for m in t.messages] == ["HELLO", "HELLO", "COMMIT", "OPEN", "ABORT"]
+        assert t.aborted and t.verdict is None and t.abort_reason == self.REASON
+        assert t.messages[-1].body == {"reason": self.REASON}
 
 
 class TestSealing:
@@ -693,14 +770,6 @@ class TestAdversarialBob:
         for alpha in self.probe_amplitudes(code):
             v = coherent_vector(alpha, code.cutoff).amps
             assert abs(bob._p_zero_at(alpha) - np.vdot(v, dense @ v).real) <= 1e-14, alpha
-
-
-class TestChannelModel:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tp.ChannelModel(tau=0.0)
-        with pytest.raises(ValueError):
-            tp.ChannelModel(tau=1.5)
 
 
 class TestFullSessionAttackLaw:
