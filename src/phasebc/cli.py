@@ -39,13 +39,17 @@ def render_document(doc: dict, fmt: str) -> str:
 
 
 def render_csv(grid: WignerGrid) -> str:
-    """Header and one x,p,w line per grid point, the zeros written 0 and -0. Each
-    row of values is formatted and joined on its own, which keeps the peak low."""
+    """Header and one x,p,w line per grid point, the zeros written 0 and -0. One %
+    template holds a grid row, its p texts written in; each row of values becomes
+    Python floats and text on its own, which keeps the peak low."""
     xs, ps = (transport._float_texts(axis, zeros={}) for axis in (grid.xs, grid.ps))
-    rows = ("".join([f"{x},{p},{w}\n"
-                     for p, w in zip(ps, transport._float_texts(row, zeros={}))])
-            for x, row in zip(xs, grid.values))
-    return "".join(["x,p,w\n", *rows])
+    template = "".join([f"%s,{p},{transport._FLOAT_SPEC}\n" for p in ps])
+    args = [None] * (2 * len(ps))
+    rows = ["x,p,w\n"]
+    for x, row in zip(xs, grid.values):
+        args[0::2], args[1::2] = [x] * len(ps), row.tolist()
+        rows.append(template % tuple(args))
+    return "".join(rows)
 
 
 def _emit(text: str, out_path: str | None) -> None:

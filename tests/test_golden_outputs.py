@@ -33,6 +33,12 @@ DIGESTS = {
     # the dense-reports benchmark checks the same digest
     "wigner -t 1 -M 6":
         (0, "c97a9a4f5c56679dd7b85e4e18f34af13bd0b612128b7bef7bb122e9b86f87f7"),
+    # 6,300 lines whose value is an exact 0, and a 0 on each axis
+    "wigner -t 1 -M 6 --halfwidth 40 --points 101":
+        (0, "9caecbabed6eb1655903f4adf0e33a75e072f52cac7540c07d81319f83c6b967"),
+    # the smallest grid, two points per axis
+    "wigner -E 4 -M 3 -b 1 --points 2":
+        (0, "fe5f5b308fb1ce6dd0f25ba5c89d6e04045db8ac07b37c923b6bab6181354bd2"),
     "simulate -E 1 -M 20 -k 1843 -n 3 --seed 5 --format structured":
         (0, "9fbc74eacf743a5a60cdb06b09179b37bdc6c754a4c19cbaf5c627662b4855b1"),
     "simulate --strategy cheat-open -E 1 -M 4 -k 10 -n 50 --seed 9":

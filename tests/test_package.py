@@ -7,6 +7,8 @@ import ast
 from pathlib import Path
 
 import phasebc
+from phasebc import cli, transport
+from phasebc.phasespace import GridSpec, wigner_mixture
 from phasebc.transport import AliceSession, BobSession
 
 PACKAGE = Path(phasebc.__file__).resolve().parent
@@ -93,12 +95,29 @@ def test_one_scipy_import_site():
 
 
 def test_one_float_format_spec():
-    # a double becomes text in transport._float_texts alone; ast.walk reaches
-    # string constants and the format spec of an f-string field alike
+    # the spec is transport._FLOAT_SPEC, which _float_texts and the CSV's row
+    # template use; ast.walk reaches string constants and the format spec of an
+    # f-string field alike
     specs = [module for module, tree in parse_modules().items() for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              for _ in range(node.value.count(".17g"))]
     assert specs == ["transport"]
+
+
+def test_csv_formats_only_its_axes_through_float_texts(monkeypatch):
+    # the grid's values go through the row template; a formatter called per row
+    # would make 201 more calls here
+    calls = []
+    float_texts = transport._float_texts
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return float_texts(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "_float_texts", counting)
+    grid = wigner_mixture([(1.0, 0.0)], GridSpec.centered(3.0, 201))
+    assert cli.render_csv(grid).count("\n") == 1 + 201 * 201
+    assert calls == [201, 201]
 
 
 def test_one_comparison_against_kinds():

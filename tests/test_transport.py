@@ -174,6 +174,29 @@ class TestSessions:
         assert t.to_bytes() == t.to_bytes()
         assert formatted == {"HELLO": 3, "COMMIT": 1, "OPEN": 1, "VERDICT": 2}
 
+    def test_decoded_commit_reencodes_in_bulk(self, monkeypatch):
+        # the wire writes 1.0 as 1, so the decoded pairs of a planner-point COMMIT
+        # mix ints and floats; they are formatted as one list, to the same line
+        params = make_params(M=20, k=1843)
+        alice = tp.AliceSession(proto.HonestAlice(0), params, tp.ChannelModel(),
+                                np.random.default_rng(5), "s")
+        alice.start()
+        commit = alice.handle(tp.WireMessage("HELLO", "s", tp._params_body(params, "bob")))[0]
+        line = tp.encode(commit)
+        decoded = tp.decode_line(line)
+        pairs = decoded.body["amplitudes"]
+        assert {type(v) for pair in pairs for v in pair} == {int, float}
+        format_document = tp.format_document
+        calls = []
+
+        def counting_format(doc):
+            calls.append(type(doc).__name__)
+            return format_document(doc)
+
+        monkeypatch.setattr(tp, "format_document", counting_format)
+        assert tp.encode(decoded) == line
+        assert calls == ["dict", "str", "str", "list"]  # the message, kind, session, pairs
+
     @pytest.mark.skipif(not os.path.exists("/proc/net/tcp"),
                         reason="reads Linux's TCP socket table")
     def test_tcp_time_wait_stays_off_the_listening_port(self, monkeypatch):
@@ -605,6 +628,16 @@ class TestStateMachine:
         with pytest.raises(tp.ProtocolStateError, match=f"{kind} arrived in state {state}"):
             session.handle(tp.WireMessage(kind, "s", {}))
         assert session.state == state
+
+    @pytest.mark.parametrize("counts", [[], [0] * 5])
+    def test_verdict_of_the_wrong_length_aborts(self, counts):
+        # a k = 4 COMMIT is answered by 4 counts, no fewer and no more
+        alice = self.endpoint_in("alice", "wait_verdict")
+        replies = alice.handle(tp.WireMessage("VERDICT", "s",
+                                              {"accepted": True, "counts": counts}))
+        reason = f"verdict counts length {len(counts)} != payload length 4"
+        assert [(r.kind, r.body) for r in replies] == [("ABORT", {"reason": reason})]
+        assert alice.state == "aborted" and alice.verdict is None
 
     def test_malformed_verdict_body_aborts(self):
         # "false" is a truthy string; it must not read as an acceptance
