@@ -122,6 +122,11 @@ def code_phases(m, b: int, M: int) -> np.ndarray:
     outside = (m < 0) | (m >= M)
     if np.count_nonzero(outside):  # cheaper than .any() on short arrays
         raise ValueError(f"phase index {m[outside][0]} outside [0, {M})")
+    return _phase_angles(m, b, M)
+
+
+def _phase_angles(m: np.ndarray, b: int, M: int) -> np.ndarray:
+    """code_phases without its checks, for an integer array m in [0, M) and a bit b."""
     return 2.0 * math.pi * (m + b / 2.0) / M
 
 

@@ -97,6 +97,8 @@ def verification_report(params: CodeParams) -> dict:
         report[f"norm_{b}"] = math.sqrt(mass)
         report[f"marginal_a_residual_{b}"] = kit.discarded_mass
         report[f"marginal_b_residual_{b}"] = kit.discarded_mass
+        # the two literal zeros hold by construction and are not computed: the
+        # POVM is rank-1 per residue class, and each outcome has mass / M exactly
         report[f"povm_completeness_residual_{b}"] = 0.0
         report[f"outcome_probs_{b}"] = [mass / M] * M
         report[f"outcome_remainder_{b}"] = 0.0

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codestates import (_INT_TYPES, _check_bit, _check_count, _check_nonnegative,
-                         _check_order, _check_probability, _check_transmittivity, code_phases)
+                         _check_order, _check_probability, _check_transmittivity,
+                         _phase_angles, code_phases)
 
 # NumPy's Poisson sampler rejects a rate above int64 max - 10 sqrt(int64 max);
 # the relative 1e-9 covers the rounding (a few ulps) by which a count's
@@ -140,11 +141,6 @@ def _raw_amplitudes(payload: QuantumPayload) -> np.ndarray:
     return payload._amps
 
 
-def scale_payload(payload: QuantumPayload, factor: float) -> QuantumPayload:
-    """Pure-loss channel action: every amplitude scaled by sqrt(tau)."""
-    return QuantumPayload(_raw_amplitudes(payload) * factor)
-
-
 def commit(b: int, params: ProtocolParams,
            rng: np.random.Generator) -> tuple[Commitment, QuantumPayload]:
     """Sample the phase string and prepare the pre-channel payload.
@@ -153,9 +149,9 @@ def commit(b: int, params: ProtocolParams,
     the sqrt(tau) channel scaling.
     """
     m = rng.integers(0, params.M, size=params.k)
+    commitment = Commitment(b, tuple(m.tolist()))  # tests the bit; the draws lie in [0, M)
     amp = math.sqrt(params.energy / params.tau)
-    payload = QuantumPayload(amp * np.exp(1j * code_phases(m, b, params.M)))
-    return Commitment(b, tuple(m.tolist())), payload
+    return commitment, QuantumPayload(amp * np.exp(1j * _phase_angles(m, b, params.M)))
 
 
 def expected_amplitudes(revealed_b: int, revealed_m, params: ProtocolParams) -> np.ndarray:
@@ -166,7 +162,7 @@ def expected_amplitudes(revealed_b: int, revealed_m, params: ProtocolParams) -> 
     return params.t * np.exp(1j * code_phases(revealed_m, revealed_b, params.M))
 
 
-def bob_verify(payload: QuantumPayload, revealed: tuple[int, tuple[int, ...]],
+def bob_verify(payload: QuantumPayload, revealed: tuple[int, tuple[int, ...] | np.ndarray],
                params: ProtocolParams, rng: np.random.Generator) -> Verdict:
     """Displace each mode back by the claimed code amplitude and count.
 
@@ -177,8 +173,8 @@ def bob_verify(payload: QuantumPayload, revealed: tuple[int, tuple[int, ...]],
         targets = expected_amplitudes(revealed_b, revealed_m, params)
     except ValueError as exc:
         raise ProtocolAbort(f"malformed reveal: {exc}") from exc
-    counts = payload.count_after_displacement(-targets, rng)
-    return Verdict(not counts.any(), counts.tolist())
+    counts = payload.count_after_displacement(-targets, rng).tolist()
+    return Verdict(not any(counts), counts)
 
 
 def cheat_open(commitment: Commitment, target_b: int) -> tuple[int, tuple[int, ...]]:

@@ -21,7 +21,7 @@ import math
 import operator
 import socket
 import threading
-from collections import deque
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -217,20 +217,22 @@ _HELLO_NAMES, _HELLO_ATTRS, _HELLO_TYPES = zip(
     ("energy", "energy", {int, float}), ("modulation", "M", {int}),
     ("repetitions", "k", {int}), ("epsilon", "epsilon", {int, float}),
     ("tau", "tau", {int, float}))
-_agreed, _stated = operator.attrgetter(*_HELLO_ATTRS), operator.itemgetter(*_HELLO_NAMES)
+_agreed = operator.attrgetter(*_HELLO_ATTRS)
+# HELLO's fields per live ProtocolParams object, by identity: 0.0 == -0.0 prints apart
+_hello_fields: dict[int, dict] = {}
 
 
 def _params_body(params: proto.ProtocolParams, role: str) -> dict:
-    return dict(zip(("role", *_HELLO_NAMES), (role, *_agreed(params))))
+    if (fields := _hello_fields.get(id(params))) is None:
+        fields = _hello_fields[id(params)] = dict(zip(_HELLO_NAMES, _agreed(params)))
+        weakref.finalize(params, _hello_fields.pop, id(params), None)
+    return {"role": role, **fields}  # a new body: editing one leaves the next alone
 
 
 def _hello_mismatch(body: dict, params: proto.ProtocolParams, peer: str) -> str:
     if body.get("role") != peer:
         return f"HELLO from role {body.get('role')!r}, expected {peer!r}"
-    try:
-        stated = _stated(body)
-    except KeyError:  # a field left out
-        stated = ()
+    stated = tuple(map(body.get, _HELLO_NAMES))  # None for a field left out
     agreed = stated == _agreed(params) and all(map(set.__contains__, _HELLO_TYPES,
                                                 map(type, stated)))
     return "" if agreed else "parameter mismatch in HELLO"
@@ -388,11 +390,10 @@ class AliceSession(_Endpoint):
         if self.state == "wait_hello":
             bit = self.strategy.commitment_bit(self.params, self.rng)
             self.commitment, payload = proto.commit(bit, self.params, self.rng)
-            received = proto.scale_payload(payload, math.sqrt(self.params.tau))
-            amps = proto._raw_amplitudes(received)
+            received = proto._raw_amplitudes(payload) * math.sqrt(self.params.tau)
             revealed_b, revealed_m = self.strategy.reveal(self.commitment)
             self.state = "wait_verdict"
-            pairs = np.column_stack((amps.real, amps.imag)).tolist()
+            pairs = received.view(np.float64).reshape(-1, 2).tolist()  # [re, im] per mode
             return [self._msg("COMMIT", {"amplitudes": pairs}),
                     self._msg("OPEN", {"bit": revealed_b, "phases": list(revealed_m)})]
         try:  # wait_verdict
@@ -446,8 +447,8 @@ class BobSession(_Endpoint):
         phases = message.body.get("phases")
         if not (type(bit) in _INT_TYPES and _is_list_of(phases, _INT_TYPES)):
             return self._abort("malformed OPEN body")
-        try:
-            self.verdict = self.strategy.verify(self._payload, (bit, tuple(phases)),
+        try:  # the elements are typed, so verify gets them as one array
+            self.verdict = self.strategy.verify(self._payload, (bit, np.asarray(phases)),
                                                 self.params, self.rng)
         except proto.ProtocolAbort as exc:
             return self._abort(str(exc))
@@ -461,13 +462,13 @@ def _endpoints(alice_strategy: proto.AliceStrategy | None,
                channel: ChannelModel | None, seed, session_id: str,
                bob_params: proto.ProtocolParams | None = None
                ) -> tuple[AliceSession, BobSession]:
-    """Both endpoints of one session, each with its half of the split seed."""
+    """Both endpoints of one session, seeded as by SeedSequence(seed).spawn(2)."""
     channel = channel or ChannelModel()
-    alice_seed, bob_seed = np.random.SeedSequence(seed).spawn(2)
-    return (AliceSession(alice_strategy, params, channel,
-                         np.random.default_rng(alice_seed), session_id),
-            BobSession(bob_strategy, bob_params or params, channel,
-                       np.random.default_rng(bob_seed), session_id))
+    entropy = np.random.SeedSequence().entropy if seed is None else seed
+    alice_rng, bob_rng = (np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy, spawn_key=(j,)))) for j in (0, 1))
+    return (AliceSession(alice_strategy, params, channel, alice_rng, session_id),
+            BobSession(bob_strategy, bob_params or params, channel, bob_rng, session_id))
 
 
 def _transcript(log: list[WireMessage], *endpoints: _Endpoint) -> SessionTranscript:
@@ -503,16 +504,12 @@ def run_session(alice_strategy: proto.AliceStrategy, bob_strategy: BobStrategy,
 
 
 def _run_loopback(alice: AliceSession, bob: BobSession) -> SessionTranscript:
-    log = alice.start()
-    queue = deque([(bob, msg) for msg in log])
-    while queue:
-        receiver, msg = queue.popleft()
-        if receiver.done:
-            continue
-        replies = receiver.handle(msg)
-        log.extend(replies)
-        peer = alice if receiver is bob else bob
-        queue.extend([(peer, reply) for reply in replies])
+    log = batch = alice.start()
+    receiver, sender = bob, alice
+    while batch:  # one turn: the receiver reads the sender's messages until it is done
+        batch = [reply for msg in batch if not receiver.done for reply in receiver.handle(msg)]
+        log += batch
+        receiver, sender = sender, receiver
     return _transcript(log, alice, bob)
 
 

@@ -15,7 +15,6 @@ from phasebc.protocol import (
     bob_verify,
     cheat_open,
     commit,
-    scale_payload,
 )
 
 from oracles import acceptance_probability, displacement_matrix, mc_acceptance
@@ -37,8 +36,9 @@ class TestCommit:
     def test_received_energy(self, tau):
         params = ProtocolParams(1.0, 8, 20, tau=tau)
         _, payload = commit(0, params, np.random.default_rng(1))
-        received = scale_payload(payload, math.sqrt(tau))
-        energies = np.abs(proto._raw_amplitudes(received)) ** 2
+        # the link's scaling, as AliceSession applies it to the COMMIT
+        received = proto._raw_amplitudes(payload) * math.sqrt(tau)
+        energies = np.abs(received) ** 2
         assert np.abs(energies - params.energy).max() < 1e-12
 
     def test_phase_string_uniform(self):
@@ -63,8 +63,7 @@ class TestBobVerify:
         rng = np.random.default_rng(3)
         for _ in range(10 ** 4):
             c, payload = commit(0, params, rng)
-            received = scale_payload(payload, 1.0)
-            verdict = bob_verify(received, (c.b, c.m), params, rng)
+            verdict = bob_verify(payload, (c.b, c.m), params, rng)
             assert verdict.accepted
             assert all(x == 0 for x in verdict.counts)
 
@@ -233,7 +232,7 @@ class TestAcceptanceProductLaw:
         for _ in range(n):
             c, payload = commit(1, params, rng)
             revealed = cheat_open(c, 0)
-            if bob_verify(scale_payload(payload, 1.0), revealed, params, rng).accepted:
+            if bob_verify(payload, revealed, params, rng).accepted:
                 hits += 1
         p = acceptance_probability(params, 0, 1, 0)
         assert abs(hits / n - p) < three_sigma(p, n)

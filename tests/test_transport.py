@@ -109,6 +109,35 @@ class TestWireFormat:
             assert a == b, original
 
 
+class PhaseIndexMReveal(proto.HonestAlice):
+    """Opens with phase index M, one past the grid, in the first mode."""
+
+    def reveal(self, commitment):
+        return commitment.b, (make_params().M,) + commitment.m[1:]
+
+
+class TestSeedSplit:
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 + 5, (7, 5), (31, 10 ** 6), [1, 2, 3]])
+    def test_endpoints_take_the_spawned_children(self, seed):
+        alice, bob = tp._endpoints(None, None, make_params(), None, seed, "s")
+        for endpoint, child in zip((alice, bob), np.random.SeedSequence(seed).spawn(2)):
+            expected = np.random.default_rng(child)
+            assert endpoint.rng.bit_generator.state == expected.bit_generator.state
+            assert (endpoint.rng.integers(0, 2 ** 63, size=8).tolist()
+                    == expected.integers(0, 2 ** 63, size=8).tolist())
+            assert (endpoint.rng.poisson(4.0, size=8).tolist()
+                    == expected.poisson(4.0, size=8).tolist())
+
+    def test_unseeded_children_share_one_entropy(self):
+        alice, bob = tp._endpoints(None, None, make_params(), None, None, "s")
+        seeds = [e.rng.bit_generator.seed_seq for e in (alice, bob)]
+        assert seeds[0].entropy == seeds[1].entropy
+        assert [s.spawn_key for s in seeds] == [(0,), (1,)]
+        spawned = np.random.SeedSequence(seeds[0].entropy).spawn(2)
+        assert ([e.rng.bit_generator.state for e in (alice, bob)]
+                == [np.random.default_rng(c).bit_generator.state for c in spawned])
+
+
 class TestSessions:
     def test_honest_loopback_accepts(self):
         t = tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), make_params(), seed=1)
@@ -117,12 +146,37 @@ class TestSessions:
                                                 "OPEN", "VERDICT"]
 
     def test_tcp_equals_loopback(self):
-        for seed in (0, 1, 2):
-            a = tp.run_session(proto.HonestAlice(1), tp.BobStrategy(), make_params(),
-                               seed=seed)
-            b = tp.run_session(proto.HonestAlice(1), tp.BobStrategy(), make_params(),
-                               seed=seed, transport="tcp")
-            assert a.to_bytes() == b.to_bytes()
+        # honest, aborting and cheating sessions: the loopback driver hands each
+        # turn to the peer in wire order and stops where the socket driver stops
+        full = ["HELLO", "HELLO", "COMMIT", "OPEN"]
+        cases = [(proto.HonestAlice(1), None, (0, 1, 2), full + ["VERDICT"]),
+                 (proto.HonestAlice(0), make_params(k=5), (0, 3), ["HELLO", "ABORT"]),
+                 (PhaseIndexMReveal(0), None, (0, 3), full + ["ABORT"]),
+                 (proto.CheatOpenAlice(1), None, (0, 3), full + ["VERDICT"])]
+        for alice, bob_params, seeds, kinds in cases:
+            for seed in seeds:
+                a, b = (tp.run_session(alice, tp.BobStrategy(), make_params(), seed=seed,
+                                       transport=transport, bob_params=bob_params)
+                        for transport in ("loopback", "tcp"))
+                assert [m.kind for m in a.messages] == kinds
+                assert a.to_bytes() == b.to_bytes()
+                assert (a.verdict, a.aborted, a.abort_reason) == (b.verdict, b.aborted,
+                                                                  b.abort_reason)
+
+    def test_hello_built_per_params_object(self):
+        # equal parameters, other bytes: ProtocolParams(0.0, ...) == ProtocolParams(-0.0, ...)
+        zero, minus_zero = proto.ProtocolParams(0.0, 8, 4), proto.ProtocolParams(-0.0, 8, 4)
+        assert zero == minus_zero
+
+        def session(params, seed=1):
+            return tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), params, seed=seed)
+
+        hellos = [tp.encode(session(p).messages[0]) for p in (zero, minus_zero)]
+        assert b'"energy":0.0,' in hellos[0] and b'"energy":-0.0,' in hellos[1]
+        first, expected = session(zero), session(zero, seed=2).to_bytes()
+        for hello in first.messages[:2]:
+            hello.body["energy"] = 5.0  # an edit of one transcript
+        assert session(zero, seed=2).to_bytes() == expected
 
     def test_tcp_sets_nodelay_on_both_ends(self, monkeypatch):
         # without it the sender's OPEN waits on the receiver's delayed ACK
