@@ -19,9 +19,10 @@ phase grid by the half step that separates the two code books, which is
 what makes the receiver's conditional states land on b=1 code states.
 Conjugating with the full switching unitary would cancel that half step.
 
-A sector whose eigenvalue is at or below LAMBDA_FLOOR is dropped from all of
-them, and the kit reports the dropped mass.  The report below evaluates each
-quantity from the class sums in O(cutoff + M log M) time and memory.
+A sector with lambda_r = 0 (a class with no photon number up to the cutoff,
+or one whose weights underflow) has zero unit vectors and drops out of all of
+them; every other sector is kept.  The report below evaluates each quantity
+from the class sums in O(cutoff + M log M) time and memory.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ import numpy as np
 
 from .codestates import CodeParams, _signs, eigen_sigma
 
-LAMBDA_FLOOR = 1e-14
-
 
 @dataclass(frozen=True)
 class MayersKit:
@@ -42,18 +41,16 @@ class MayersKit:
 
     params: CodeParams
     values: np.ndarray    # lambda_r for r = 0..M-1, the same for both bits
-    unit0: np.ndarray     # u_{r,0} at every photon number, zero on dropped sectors
+    unit0: np.ndarray     # u_{r,0} at every photon number, zero where lambda_r = 0
     unit1: np.ndarray     # u_{r,1}, likewise
-    discarded_mass: float
 
 
 def build_kit(params: CodeParams) -> MayersKit:
     """The kit at any amplitude and grid order, in O(cutoff + M)."""
     values, amps = eigen_sigma(0, params)
     r = np.arange(params.cutoff + 1) % params.M
-    unit0 = amps / np.sqrt(np.where(values > LAMBDA_FLOOR, values, np.inf))[r]
-    return MayersKit(params, values, unit0, unit0 * _signs(1, params),
-                     float(values[values <= LAMBDA_FLOOR].sum()))
+    unit0 = amps / np.sqrt(np.where(values > 0.0, values, np.inf))[r]
+    return MayersKit(params, values, unit0, unit0 * _signs(1, params))
 
 
 def _steering_map(ties: np.ndarray, b: int, M: int) -> np.ndarray:
@@ -69,36 +66,36 @@ def _steering_map(ties: np.ndarray, b: int, M: int) -> np.ndarray:
 def verification_report(params: CodeParams) -> dict:
     """Numeric verification document for one parameter point.
 
-    With K = sum of the kept lambda_r, and E_r, O_r the class-r Poisson mass
-    at even and odd j in n = r + jM:
-      - |Phi_b| = sqrt(K); both marginals differ from sigma_b by the dropped
-        sectors alone, whose trace norm is the discarded mass;
+    With K = sum of the lambda_r, and E_r, O_r the class-r Poisson mass at
+    even and odd j in n = r + jM:
+      - |Phi_b| = sqrt(K), and both marginals are sigma_b;
       - each outcome has probability K/M, leaving nothing on the remainder
         element, and each measurement sums to the identity with it;
       - |<Phi_1|(U x U)|Phi_0>| = K and |<Phi_1|(1 x U)|Phi_0>| =
-        |sum_r (E_r - O_r)| over the kept sectors;
+        |sum_r (E_r - O_r)|;
       - after outcome m, the receiver's fidelity with code state m' is
-        |Lambda_s|^2 / K, where Lambda is the length-M DFT of the kept
-        lambda_r and s = m + m' + b mod M.
+        |Lambda_s|^2 / K, where Lambda is the length-M DFT of the lambda_r
+        and s = m + m' + b mod M.
     """
     kit = build_kit(params)
     M = params.M
-    kept = np.where(kit.values > LAMBDA_FLOOR, kit.values, 0.0)
-    mass = float(kept.sum())
-    power = np.abs(np.fft.fft(kept)) ** 2
+    mass = float(kit.values.sum())
+    power = np.abs(np.fft.fft(kit.values)) ** 2
     best = power.max()
     ties = np.flatnonzero(power == best)
     r = np.arange(params.cutoff + 1) % M
-    # lambda_r u_{r,0} u_{r,1} at n = r + jM is (-1)^j p_n on the kept sectors
+    # lambda_r u_{r,0} u_{r,1} at n = r + jM is (-1)^j p_n
     one_sided = abs(float(np.dot(kit.values[r] * kit.unit0, kit.unit1)))
+    # the literal zeros hold by construction and are not computed: the kit is
+    # exactly P sigma_b P on the truncated space, so nothing is discarded and
+    # both marginals are sigma_b; the POVM is rank-1 per residue class, and
+    # each outcome has mass / M exactly
     report: dict = {"t": params.t, "M": M, "cutoff": params.cutoff,
-                    "discarded_mass": kit.discarded_mass}
+                    "discarded_mass": 0.0}
     for b in (0, 1):
         report[f"norm_{b}"] = math.sqrt(mass)
-        report[f"marginal_a_residual_{b}"] = kit.discarded_mass
-        report[f"marginal_b_residual_{b}"] = kit.discarded_mass
-        # the two literal zeros hold by construction and are not computed: the
-        # POVM is rank-1 per residue class, and each outcome has mass / M exactly
+        report[f"marginal_a_residual_{b}"] = 0.0
+        report[f"marginal_b_residual_{b}"] = 0.0
         report[f"povm_completeness_residual_{b}"] = 0.0
         report[f"outcome_probs_{b}"] = [mass / M] * M
         report[f"outcome_remainder_{b}"] = 0.0

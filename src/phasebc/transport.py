@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import re
 import socket
 import threading
 import weakref
@@ -34,6 +35,10 @@ from .codestates import (_FLOAT_TYPES, _INT_TYPES, _REAL_TYPES, CodeParams, _by_
 from .fock import coherent_vector
 
 KINDS = ("HELLO", "COMMIT", "OPEN", "VERDICT", "ABORT")
+# No value nests deeper than the COMMIT pairs, a list in a list in the message, which
+# bounds json.loads and format_document; brackets count outside strings, {} as [].
+_JSON_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"')
+_BRACKETS = bytes.maketrans(b"{}", b"[]"), bytes(set(range(256)) - set(b"[]{}"))
 
 
 class DecodeError(Exception):
@@ -184,8 +189,11 @@ def decode_line(line: bytes, offset: int = 0) -> WireMessage:
     try:
         doc = json.loads(line.decode("utf-8"), parse_float=_FloatLiterals().__getitem__,
                          parse_constant=_finite_float)
-    except ValueError as exc:  # covers UnicodeDecodeError and JSONDecodeError
+    except (ValueError, RecursionError) as exc:  # ValueError covers UnicodeDecodeError
         raise DecodeError(f"malformed message line: {exc}", offset) from exc
+    brackets = _JSON_STRING.sub(b"", line).translate(*_BRACKETS)
+    if brackets.replace(b"[]", b"").replace(b"[]", b"").replace(b"[]", b""):
+        raise DecodeError("message nested deeper than a list of pairs", offset)
     if not isinstance(doc, dict):
         raise DecodeError("message is not an object", offset)
     kind = doc.pop("kind", None)

@@ -307,8 +307,11 @@ def dense_report(params):
     """The Mayers verification report from the dense objects above."""
     kit = build_kit(params)
     d = params.cutoff + 1
+    # the mass of sigma_0 that the purification leaves out: trace(sigma_0) - |psi_0|^2
+    discarded = (np.trace(build_sigma(0, params).matrix).real
+                 - np.linalg.norm(purification_matrix(kit, 0)) ** 2)
     report = {"t": params.t, "M": params.M, "cutoff": params.cutoff,
-              "discarded_mass": kit.discarded_mass}
+              "discarded_mass": float(discarded)}
     for b in (0, 1):
         psi = purification_matrix(kit, b)
         sigma = build_sigma(b, params).matrix

@@ -122,6 +122,35 @@ class TestSimulate:
         assert len(lines) == 10
         assert sorted(lines[:5]) == sorted(lines[5:])
 
+    def test_listen_aborts_on_a_nested_hello(self, capsys):
+        # once the nested HELLO was logged, and printing the transcript after the
+        # ABORT for the next line raised RecursionError out of main
+        port = self._closed_port()
+        results = {}
+        thread = threading.Thread(target=lambda: results.update(code=cli.main(
+            ["simulate", "--listen", str(port), "-E", "1", "-M", "8", "-k", "1"])))
+        thread.start()
+        for _ in range(50):  # wait for the listener
+            try:
+                sock = socket.create_connection(("127.0.0.1", port), timeout=10.0)
+                break
+            except OSError:
+                time.sleep(0.1)
+        else:
+            pytest.fail("listener never came up")
+        hello = (b'{"kind":"HELLO","session":"session-0","role":"alice","energy":1.0,'
+                 b'"modulation":8,"repetitions":1,"epsilon":0.01,"tau":1.0,"x":'
+                 + b"[" * 600 + b"]" * 600 + b"}\n")
+        assert len(hello) < 4096 + 64  # the line limit at k = 1
+        with sock:
+            sock.sendall(hello + b"{broken\n")
+            reply = sock.makefile("rb").readline()
+        thread.join(10.0)
+        assert not thread.is_alive() and results["code"] == 1
+        assert capsys.readouterr().out.encode() == reply
+        assert json.loads(reply)["kind"] == "ABORT"
+        assert "nested deeper than a list of pairs" in json.loads(reply)["reason"]
+
     def _closed_port(self):
         probe = socket.create_server(("127.0.0.1", 0))
         port = probe.getsockname()[1]
@@ -371,7 +400,8 @@ def test_import_leaves_out_lazy_modules():
 
 class TestBounds:
     def test_no_tail_warning_at_large_energy(self, capsys):
-        # rounding in the Poisson weights once read here as a 5.5e-10 tail
+        # rounding in the Poisson weights once read here as a 5.5e-10 tail; that
+        # check is gone, and no other warning may take its place
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(["bounds", "-E", "1e6"]) == 1

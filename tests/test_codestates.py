@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -224,6 +225,22 @@ class TestEigenSystem:
         e0 = np.sort(np.linalg.eigvalsh(build_sigma(0, params).matrix))
         e1 = np.sort(np.linalg.eigvalsh(build_sigma(1, params).matrix))
         assert np.abs(e0 - e1).max() < 1e-12
+
+    @pytest.mark.parametrize("energy, M, empty", [(1.0, 20, 0), (100.0, 512, 263)])
+    def test_values_match_mpmath_class_sums(self, energy, M, empty):
+        # lambda_r is a class sum of exp'd log weights with no cancellation, so
+        # even the smallest class is accurate and nothing needs a floor
+        params = CodeParams.from_energy(energy, M)
+        values = eigen_sigma(0, params)[0]
+        with mp.workdps(50):
+            ref = [mp.fsum(mp.exp(n * mp.log(energy) - energy - mp.loggamma(n + 1))
+                           for n in range(r, params.cutoff + 1, M)) for r in range(M)]
+        assert sum(r == 0 for r in ref) == empty
+        for r, (value, exact) in enumerate(zip(values.tolist(), ref)):
+            if exact == 0:  # a class past the cutoff holds no photon number
+                assert value == 0.0, r
+            else:
+                assert abs(float(value / exact - 1)) <= 1e-13, r
 
     def test_odd_and_even_m(self):
         for M in (3, 4):

@@ -146,6 +146,27 @@ class TestPoissonWeights:
                 rel = abs(float(mp.mpf(float(w[n])) / mp.exp(log_ref) - 1))
                 assert rel <= 4 * np.finfo(float).eps * (1 - float(log_ref)), (n, rel)
 
+    @pytest.mark.parametrize("energy, cutoff, tail",
+                             [(1.0, 30, 4.618e-35), (100.0, 248, 4.786e-36)])
+    def test_tail_beyond_density_cutoff(self, energy, cutoff, tail):
+        # the mass density work leaves out, summed from the top with the kernel's
+        # start index; terms past cutoff + 200 are below 1e-80 of it
+        assert fock.density_cutoff(energy) == cutoff
+        terms = np.exp(fock._log_poisson_weights(energy, cutoff + 200, cutoff + 1))
+        got = math.fsum(terms[::-1])
+        with mp.workdps(40):  # P(X > cutoff), the regularized lower gamma
+            exact = float(mp.gammainc(cutoff + 1, 0, energy, regularized=True))
+        assert got < 1e-12
+        assert abs(got / exact - 1) <= 1e-13
+        assert abs(exact / tail - 1) <= 1e-3
+
+    @pytest.mark.parametrize("energy", [1.0, 1e2, 1e4, 1e6])
+    def test_normalization_defect(self, energy):
+        # 1 - sum(w) over the density cutoff reads the kernel's rounding, not the
+        # truncation tail, which is near 1e-35 (the test above)
+        w = fock.poisson_weights(energy, fock.density_cutoff(energy))
+        assert abs(1.0 - math.fsum(w)) <= 4.5e-16
+
 
 class TestOverlapProb:
     def test_against_truncated_inner_product(self):

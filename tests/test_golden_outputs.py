@@ -97,7 +97,9 @@ MAYERS_REPORTS = {
         '"switch_fidelity_one_sided":0.89774255361598798,'
         '"switch_fidelity_two_sided":0.99999999999999989}'),
     "mayers -t 0.15 -M 8": (
-        # one sector at or below LAMBDA_FLOOR: the sector-dropping path
+        # recorded while sectors with lambda_r <= 1e-14 were dropped, here one of
+        # 5.7e-16; the kit now keeps every sector with lambda_r > 0, and the
+        # report reads discarded_mass 0.0, within 1e-12 of this record
         '{"t":0.14999999999999999,"M":8,"cutoff":16,'
         '"discarded_mass":5.6633768925831541e-16,"norm_0":0.99999999999999967,'
         '"marginal_a_residual_0":6.7736020516259822e-16,'

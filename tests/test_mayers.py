@@ -63,11 +63,20 @@ class TestPurification:
         lam = np.sort(eigen_sigma(0, params)[0])[::-1]
         assert np.abs(np.sort(singular ** 2)[::-1][: params.M] - lam).max() < 1e-10
 
-    def test_drop_below_floor_reports_mass(self):
-        params = CodeParams.from_energy(0.15 ** 2, 8)
-        psi = build_purification(0, params)
-        assert psi.norm() < 1.0
-        assert 1.0 - psi.norm() ** 2 < 1e-12  # the dropped sectors carry tiny mass
+    @pytest.mark.parametrize("energy, M", [(1, 64), (0.0225, 32)])
+    def test_empty_classes_have_zero_unit_vectors(self, energy, M):
+        # M > cutoff + 1: the classes past the cutoff hold no photon number, so
+        # lambda_r = 0 there, and every other class is kept whatever its size
+        params = CodeParams.from_energy(energy, M)
+        kit = build_kit(params)
+        empty = np.arange(M) > params.cutoff
+        assert empty.any() and np.all((kit.values == 0.0) == empty)
+        for unit in (kit.unit0, kit.unit1):
+            assert np.all(np.isfinite(unit))
+            norms = np.zeros(M)
+            np.add.at(norms, np.arange(params.cutoff + 1) % M, unit ** 2)
+            assert np.all(norms[empty] == 0.0)
+            np.testing.assert_allclose(norms[~empty], 1.0, rtol=0.0, atol=1e-14)
 
 
 class TestSwitchingUnitary:
@@ -239,9 +248,11 @@ class TestReceiverMarginalInvariance:
 
 
 # (E, M) points at which the closed-form report is checked against the dense one;
-# E = 0 ties every code state, and at 0.0225 (t = 0.15) and 0.09 sectors drop
+# E = 0 ties every code state, at 0.0225 (t = 0.15) and 0.09 some lambda_r are
+# below 1e-14, and at (1, 64) and (0.0225, 32) classes past the cutoff are empty
 ORACLE_POINTS = [(1, 2), (1, 4), (1, 8), (4, 3), (0.3, 6), (4, 8), (9, 16), (0.0225, 8),
-                 (1, 20), (16, 64), (0.09, 12), (2.25, 5), (0, 4), (25, 7), (64, 64)]
+                 (1, 20), (16, 64), (0.09, 12), (2.25, 5), (0, 4), (25, 7), (64, 64),
+                 (1, 64), (0.0225, 32)]
 # the grid order, cutoff, steering maps and flags; every other field is a float
 EXACT = ("M", "cutoff", "steering_map_0", "steering_map_1",
          "steering_bijective_0", "steering_bijective_1")

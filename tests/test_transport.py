@@ -62,6 +62,31 @@ class TestWireFormat:
         with pytest.raises(ValueError):
             tp.encode(tp.WireMessage("COMMIT", "s", {"amplitudes": [[math.nan, 0.0]]}))
 
+    # A HELLO with an extra field 600 lists deep is 1.3 KB, under the line limit
+    # even at k = 1: once it decoded, and re-encoding it for the transcript raised
+    # RecursionError. At 1,500 deep json.loads itself raised RecursionError.
+    NESTED = [b'{"kind":"HELLO","session":"s","role":"alice","x":'
+              + b"[" * 600 + b"]" * 600 + b"}\n",
+              b"[" * 1500 + b"]" * 1500 + b"\n",
+              b'{"kind":"HELLO","session":"s","x":[{"y":[1]}]}\n',
+              b'{"kind":"HELLO","session":"s","x":{"y":[[1]]}}\n']
+
+    @pytest.mark.parametrize("line", NESTED, ids=["600", "1500", "list-dict", "dict-list"])
+    def test_nesting_deeper_than_commit_pairs_refused(self, line):
+        with pytest.raises(tp.DecodeError, match="nested|recursion") as err:
+            tp.decode_line(line, offset=5)
+        assert err.value.offset == 5
+
+    def test_nesting_counts_brackets_outside_strings(self):
+        # as deep as a COMMIT's pairs, with brackets, an escaped quote and an
+        # escaped backslash in strings
+        line = (b'{"kind":"ABORT","session":"[[[[\\"]]","reason":"]]]]x[[[[\\\\",'
+                b'"x":[[1,"[[["]],"y":{"z":["}}}}"]}}\n')
+        msg = tp.decode_line(line)
+        assert msg.session_id == '[[[["]]' and msg.body["reason"] == "]]]]x[[[[\\"
+        assert msg.body["x"] == [[1, "[[["]]
+        assert tp.decode_line(tp.encode(msg)) == msg
+
     def test_malformed_line_offset(self):
         first = tp.encode(self.sample_messages()[0])
         data = first + b"{broken\n"
@@ -390,9 +415,12 @@ class TestDriverAborts:
     # (line, abort reason); the limit for k=4 is 4096 + 64*4 bytes
     BAD_LINES = [(b"{broken\n", "malformed message line"),
                  (b'{"kind": "HELLO", "session": "' + b"s" * 5000 + b'"}\n',
-                  "exceeds 4352 bytes")]
+                  "exceeds 4352 bytes"),
+                 (TestWireFormat.NESTED[0], "nested deeper than a list of pairs"),
+                 (TestWireFormat.NESTED[1], "maximum recursion depth exceeded")]
+    IDS = ["malformed", "over-long", "nested-600", "nested-1500"]
 
-    @pytest.mark.parametrize("line, reason", BAD_LINES, ids=["malformed", "over-long"])
+    @pytest.mark.parametrize("line, reason", BAD_LINES, ids=IDS)
     def test_serve_answers_bad_line(self, line, reason):
         port = free_port()
         results = {}
@@ -419,7 +447,7 @@ class TestDriverAborts:
         assert reason in t.abort_reason
         assert tp.decode_line(reply) == t.messages[0]
 
-    @pytest.mark.parametrize("line, reason", BAD_LINES, ids=["malformed", "over-long"])
+    @pytest.mark.parametrize("line, reason", BAD_LINES, ids=IDS)
     def test_connect_answers_bad_line(self, line, reason):
         with socket.create_server(("127.0.0.1", 0)) as srv:
             def reply_garbage():
