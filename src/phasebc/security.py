@@ -93,16 +93,14 @@ def _secular_trace_norm(weights: np.ndarray, M: int) -> float:
     return 2.0 * math.fsum(top * nu)
 
 
-def numeric_trace_norm_check(t: float, M: int, bound: TraceNormBound | None = None
-                             ) -> tuple[float, float, bool]:
+def numeric_trace_norm_check(t: float, M: int) -> tuple[float, float, bool]:
     """Numeric ||rho - sigma_0||_1 against the closed-form bound.
 
-    bound is trace_norm_bound(t, M) unless given.  ok is vacuously true when
-    the bound is not valid.  The weights run to density_cutoff(t^2), whose
-    Poisson tail is below 1e-12 by construction.
+    ok is vacuously true when the bound is not valid.  The weights run to
+    density_cutoff(t^2), whose Poisson tail is below 1e-12 by construction.
     """
     t, M = _check_nonnegative(t, "amplitude t"), _check_order(M)
-    bound = bound or trace_norm_bound(t, M)
+    bound = trace_norm_bound(t, M)
     weights = poisson_weights(t * t, density_cutoff(t * t))
     numeric = _secular_trace_norm(weights, M)
     ok = (not bound.valid) or numeric <= bound.value + 1e-10
@@ -131,18 +129,16 @@ class SecurityCheck:
     sufficient_pair: tuple[bool, bool] | None  # unit-energy shortcut conditions
 
 
-def epsilon_secure_check(t: float, M: int, k: int, epsilon: float,
-                         bound: TraceNormBound | None = None) -> SecurityCheck:
+def epsilon_secure_check(t: float, M: int, k: int, epsilon: float) -> SecurityCheck:
     """Both cheating probabilities at or below epsilon.
 
     Evaluates the general pair exp(-4 t^2 k sin^2(pi/2M)) <= eps and
     2 k (2 e t^2/M)^{M/2} <= eps.  At t = 1 the coarser sufficient pair
-    exp(-k/M^2) <= eps and same second condition is reported as well.  bound
-    is trace_norm_bound(t, M) unless given.
+    exp(-k/M^2) <= eps and same second condition is reported as well.
     """
     epsilon = _check_probability(epsilon)
     t, M, k = _check_nonnegative(t, "amplitude t"), _check_order(M), _check_count(k)
-    pcb = k * (bound or trace_norm_bound(t, M)).value  # pcb_bound(t, M, k)
+    pcb = k * trace_norm_bound(t, M).value  # pcb_bound(t, M, k)
     pca = pca_exact(t * t, k, M)
     failed = []
     if pca > epsilon:
@@ -248,13 +244,13 @@ class SecurityReport:
 def security_report(t: float, M: int, k: int, epsilon: float) -> SecurityReport:
     epsilon = _check_probability(epsilon)
     t, M, k = _check_nonnegative(t, "amplitude t"), _check_order(M), _check_count(k)
+    check = epsilon_secure_check(t, M, k, epsilon)  # refuses t * t = inf first
     bound = trace_norm_bound(t, M)
-    check = epsilon_secure_check(t, M, k, epsilon, bound)  # refuses t * t = inf first
     return SecurityReport(
         t=t, M=M, k=k, epsilon=epsilon,
         pcb_bound=check.pcb,
         pca_exact=check.pca,
-        trace_norm_numeric=numeric_trace_norm_check(t, M, bound)[0],
+        trace_norm_numeric=numeric_trace_norm_check(t, M)[0],
         trace_norm_bound=bound.value,
         bound_valid=bound.valid,
         simplified_bound=bound.simplified,

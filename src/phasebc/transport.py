@@ -5,7 +5,8 @@ are printed with 17 significant digits so decoding reproduces them bit
 for bit.  The same endpoint state machines run either over an in-process
 loopback or over a TCP stream, and both log the session's messages in
 wire order, so transcripts are byte-identical across backends for equal
-seeds.
+seeds.  A sent message is formatted once; a received one is logged as the
+line it came in, which a phasebc peer formats the same way.
 
 The commitment payload travels on the wire (this is a simulation), but
 the receiving endpoint hands its strategy a sealed object whose only
@@ -19,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import re
 import socket
 import threading
 import weakref
@@ -35,10 +35,6 @@ from .codestates import (_FLOAT_TYPES, _INT_TYPES, _REAL_TYPES, CodeParams, _by_
 from .fock import coherent_vector
 
 KINDS = ("HELLO", "COMMIT", "OPEN", "VERDICT", "ABORT")
-# No value nests deeper than the COMMIT pairs, a list in a list in the message, which
-# bounds json.loads and format_document; brackets count outside strings, {} as [].
-_JSON_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"')
-_BRACKETS = bytes.maketrans(b"{}", b"[]"), bytes(set(range(256)) - set(b"[]{}"))
 
 
 class DecodeError(Exception):
@@ -63,8 +59,8 @@ class WireMessage:
 
     @cached_property
     def _encoded(self) -> bytes:
-        # formatted on first use, so a sent message is formatted once; a
-        # decoded one is re-encoded canonically, not kept as the line it came in
+        # formatted on first use, so a sent message is formatted once;
+        # decode_line fills it in with the line a message came in
         doc = {"kind": self.kind, "session": self.session_id}
         doc.update(self.body)
         return (format_document(doc) + "\n").encode("utf-8")
@@ -112,8 +108,7 @@ def _float_texts(values, zeros: dict[str, str] = _ZERO_TEXT) -> list[str]:
 
 def _bulk_text(doc: list | tuple) -> str | None:
     """The elements of a list of ints, of floats or of float pairs, joined
-    without a call per element; None for any other list. Exact ints may sit
-    among the floats, as a decoded 1.0 arrives as the int 1, and keep their text."""
+    without a call per element; None for any other list."""
     types = set(map(type, doc))
     if types == {int}:  # exactly int: bools print as true/false
         return ",".join(map(str, doc))
@@ -121,13 +116,9 @@ def _bulk_text(doc: list | tuple) -> str | None:
     if pairs:
         doc = list(chain.from_iterable(doc))
         types = set(map(type, doc))
-    if not types or not types <= _FLOAT_TYPES | {int}:
+    if not types or not types <= _FLOAT_TYPES:
         return None
-    if int in types:
-        floats = iter(_float_texts([float(v) for v in doc if type(v) is not int]))
-        texts = [str(v) if type(v) is int else next(floats) for v in doc]
-    else:
-        texts = _float_texts(doc if types == {float} else list(map(float, doc)))
+    texts = _float_texts(doc if types == {float} else list(map(float, doc)))
     if pairs:
         return "[" + "],[".join(map(",".join, zip(texts[0::2], texts[1::2]))) + "]"
     return ",".join(texts)
@@ -191,9 +182,6 @@ def decode_line(line: bytes, offset: int = 0) -> WireMessage:
                          parse_constant=_finite_float)
     except (ValueError, RecursionError) as exc:  # ValueError covers UnicodeDecodeError
         raise DecodeError(f"malformed message line: {exc}", offset) from exc
-    brackets = _JSON_STRING.sub(b"", line).translate(*_BRACKETS)
-    if brackets.replace(b"[]", b"").replace(b"[]", b"").replace(b"[]", b""):
-        raise DecodeError("message nested deeper than a list of pairs", offset)
     if not isinstance(doc, dict):
         raise DecodeError("message is not an object", offset)
     kind = doc.pop("kind", None)
@@ -201,9 +189,13 @@ def decode_line(line: bytes, offset: int = 0) -> WireMessage:
     if not isinstance(session, str):
         raise DecodeError("missing session id", offset)
     try:
-        return WireMessage(kind, session, doc)
+        msg = WireMessage(kind, session, doc)
     except ValueError as exc:  # an unknown kind
         raise DecodeError(str(exc), offset) from exc
+    # the transcript logs the line as it came: a phasebc peer's line is its canonical
+    # encoding, and a received message is never formatted, however deep its values
+    msg.__dict__["_encoded"] = line if line.endswith(b"\n") else line + b"\n"
+    return msg
 
 
 @dataclass(frozen=True)

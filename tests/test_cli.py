@@ -123,8 +123,8 @@ class TestSimulate:
         assert sorted(lines[:5]) == sorted(lines[5:])
 
     def test_listen_aborts_on_a_nested_hello(self, capsys):
-        # once the nested HELLO was logged, and printing the transcript after the
-        # ABORT for the next line raised RecursionError out of main
+        # the nested HELLO is logged as sent, so printing the transcript after the
+        # ABORT for the next line formats no received value
         port = self._closed_port()
         results = {}
         thread = threading.Thread(target=lambda: results.update(code=cli.main(
@@ -142,14 +142,16 @@ class TestSimulate:
                  b'"modulation":8,"repetitions":1,"epsilon":0.01,"tau":1.0,"x":'
                  + b"[" * 600 + b"]" * 600 + b"}\n")
         assert len(hello) < 4096 + 64  # the line limit at k = 1
-        with sock:
+        with sock, sock.makefile("rb") as rfile:
             sock.sendall(hello + b"{broken\n")
-            reply = sock.makefile("rb").readline()
+            replies = [rfile.readline(), rfile.readline()]
         thread.join(10.0)
         assert not thread.is_alive() and results["code"] == 1
-        assert capsys.readouterr().out.encode() == reply
-        assert json.loads(reply)["kind"] == "ABORT"
-        assert "nested deeper than a list of pairs" in json.loads(reply)["reason"]
+        out, err = capsys.readouterr()
+        assert out.encode() == hello + b"".join(replies)
+        assert "Traceback" not in err
+        assert [json.loads(r)["kind"] for r in replies] == ["HELLO", "ABORT"]
+        assert "malformed message line" in json.loads(replies[1])["reason"]
 
     def _closed_port(self):
         probe = socket.create_server(("127.0.0.1", 0))

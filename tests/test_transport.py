@@ -1,8 +1,10 @@
 import cmath
 import collections
 import hashlib
+import json
 import math
 import os
+import queue
 import socket
 import threading
 import time
@@ -63,29 +65,18 @@ class TestWireFormat:
             tp.encode(tp.WireMessage("COMMIT", "s", {"amplitudes": [[math.nan, 0.0]]}))
 
     # A HELLO with an extra field 600 lists deep is 1.3 KB, under the line limit
-    # even at k = 1: once it decoded, and re-encoding it for the transcript raised
-    # RecursionError. At 1,500 deep json.loads itself raised RecursionError.
+    # even at k = 1; it decodes and is logged as it came. At 1,500 deep
+    # json.loads raises RecursionError.
     NESTED = [b'{"kind":"HELLO","session":"s","role":"alice","x":'
               + b"[" * 600 + b"]" * 600 + b"}\n",
-              b"[" * 1500 + b"]" * 1500 + b"\n",
-              b'{"kind":"HELLO","session":"s","x":[{"y":[1]}]}\n',
-              b'{"kind":"HELLO","session":"s","x":{"y":[[1]]}}\n']
+              b"[" * 1500 + b"]" * 1500 + b"\n"]
 
-    @pytest.mark.parametrize("line", NESTED, ids=["600", "1500", "list-dict", "dict-list"])
+    @pytest.mark.parametrize("line", NESTED[1:], ids=["1500"])
     def test_nesting_deeper_than_commit_pairs_refused(self, line):
-        with pytest.raises(tp.DecodeError, match="nested|recursion") as err:
+        # a line is refused only where json.loads runs out of recursion
+        with pytest.raises(tp.DecodeError, match="recursion") as err:
             tp.decode_line(line, offset=5)
         assert err.value.offset == 5
-
-    def test_nesting_counts_brackets_outside_strings(self):
-        # as deep as a COMMIT's pairs, with brackets, an escaped quote and an
-        # escaped backslash in strings
-        line = (b'{"kind":"ABORT","session":"[[[[\\"]]","reason":"]]]]x[[[[\\\\",'
-                b'"x":[[1,"[[["]],"y":{"z":["}}}}"]}}\n')
-        msg = tp.decode_line(line)
-        assert msg.session_id == '[[[["]]' and msg.body["reason"] == "]]]]x[[[[\\"
-        assert msg.body["x"] == [[1, "[[["]]
-        assert tp.decode_line(tp.encode(msg)) == msg
 
     def test_malformed_line_offset(self):
         first = tp.encode(self.sample_messages()[0])
@@ -103,12 +94,13 @@ class TestWireFormat:
         decoded = np.array([complex(re, im) for re, im in back.body["amplitudes"]])
         assert np.array_equal(decoded, amps)
 
-    def test_decoded_message_encodes_canonically(self):
-        # a received line is re-encoded, never logged as it came in
-        msg = tp.decode_line(b'{ "kind": "COMMIT", "session": "s", '
-                             b'"amplitudes": [[1.0, -0.0], [2.50, 0]] }\n')
-        assert tp.encode(msg) == (b'{"kind":"COMMIT","session":"s",'
-                                  b'"amplitudes":[[1,-0.0],[2.5,0]]}\n')
+    def test_decoded_message_keeps_its_line(self, monkeypatch):
+        # a received line is logged as it came in, never formatted again
+        monkeypatch.setattr(tp, "format_document", None)
+        line = (b'{ "kind": "COMMIT", "session": "s", '
+                b'"amplitudes": [[1.0, -0.0], [2.50, 0]] }\n')
+        assert tp.encode(tp.decode_line(line)) == line
+        assert tp.encode(tp.decode_line(line[:-1])) == line
 
     def test_stream_round_trip(self):
         msgs = self.sample_messages()
@@ -237,8 +229,8 @@ class TestSessions:
         assert b"".join(writes) == t.to_bytes()
 
     def test_tcp_session_formats_each_sent_message_once(self, monkeypatch):
-        # the driver's encoding of a sent message is the one to_bytes() writes;
-        # only the messages Alice received are encoded again, for her log
+        # the driver's encoding of a sent message is the one to_bytes() writes,
+        # and a received message keeps the line it came in
         format_document = tp.format_document
         formatted = collections.Counter()
 
@@ -251,30 +243,7 @@ class TestSessions:
         t = tp.run_session(proto.HonestAlice(0), tp.BobStrategy(), make_params(k=16),
                            seed=1, transport="tcp")
         assert t.to_bytes() == t.to_bytes()
-        assert formatted == {"HELLO": 3, "COMMIT": 1, "OPEN": 1, "VERDICT": 2}
-
-    def test_decoded_commit_reencodes_in_bulk(self, monkeypatch):
-        # the wire writes 1.0 as 1, so the decoded pairs of a planner-point COMMIT
-        # mix ints and floats; they are formatted as one list, to the same line
-        params = make_params(M=20, k=1843)
-        alice = tp.AliceSession(proto.HonestAlice(0), params, tp.ChannelModel(),
-                                np.random.default_rng(5), "s")
-        alice.start()
-        commit = alice.handle(tp.WireMessage("HELLO", "s", tp._params_body(params, "bob")))[0]
-        line = tp.encode(commit)
-        decoded = tp.decode_line(line)
-        pairs = decoded.body["amplitudes"]
-        assert {type(v) for pair in pairs for v in pair} == {int, float}
-        format_document = tp.format_document
-        calls = []
-
-        def counting_format(doc):
-            calls.append(type(doc).__name__)
-            return format_document(doc)
-
-        monkeypatch.setattr(tp, "format_document", counting_format)
-        assert tp.encode(decoded) == line
-        assert calls == ["dict", "str", "str", "list"]  # the message, kind, session, pairs
+        assert formatted == {"HELLO": 2, "COMMIT": 1, "OPEN": 1, "VERDICT": 1}
 
     @pytest.mark.skipif(not os.path.exists("/proc/net/tcp"),
                         reason="reads Linux's TCP socket table")
@@ -410,18 +379,20 @@ def free_port():
 
 
 class TestDriverAborts:
-    """A line the driver cannot read is answered with an ABORT, not an exception."""
+    """A line the driver cannot read is answered with an ABORT, not an exception;
+    one it reads is logged as it came."""
 
-    # (line, abort reason); the limit for k=4 is 4096 + 64*4 bytes
-    BAD_LINES = [(b"{broken\n", "malformed message line"),
+    # (line, abort reason, whether the line decodes and is logged); the limit
+    # for k=4 is 4096 + 64*4 bytes
+    BAD_LINES = [(b"{broken\n", "malformed message line", False),
                  (b'{"kind": "HELLO", "session": "' + b"s" * 5000 + b'"}\n',
-                  "exceeds 4352 bytes"),
-                 (TestWireFormat.NESTED[0], "nested deeper than a list of pairs"),
-                 (TestWireFormat.NESTED[1], "maximum recursion depth exceeded")]
+                  "exceeds 4352 bytes", False),
+                 (TestWireFormat.NESTED[0], "session id mismatch", True),
+                 (TestWireFormat.NESTED[1], "maximum recursion depth exceeded", False)]
     IDS = ["malformed", "over-long", "nested-600", "nested-1500"]
 
-    @pytest.mark.parametrize("line, reason", BAD_LINES, ids=IDS)
-    def test_serve_answers_bad_line(self, line, reason):
+    @pytest.mark.parametrize("line, reason, logged", BAD_LINES, ids=IDS)
+    def test_serve_answers_bad_line(self, line, reason, logged):
         port = free_port()
         results = {}
         thread = threading.Thread(target=lambda: results.update(
@@ -443,19 +414,20 @@ class TestDriverAborts:
         assert not thread.is_alive()
         t = results["bob"]
         assert t.aborted and t.verdict is None
-        assert [m.kind for m in t.messages] == ["ABORT"]
+        assert [m.kind for m in t.messages] == ["HELLO"] * logged + ["ABORT"]
         assert reason in t.abort_reason
-        assert tp.decode_line(reply) == t.messages[0]
+        assert t.to_bytes() == line * logged + reply
 
-    @pytest.mark.parametrize("line, reason", BAD_LINES, ids=IDS)
-    def test_connect_answers_bad_line(self, line, reason):
+    @pytest.mark.parametrize("line, reason, logged", BAD_LINES, ids=IDS)
+    def test_connect_answers_bad_line(self, line, reason, logged):
+        sent = []
         with socket.create_server(("127.0.0.1", 0)) as srv:
             def reply_garbage():
                 conn, _ = srv.accept()
-                with conn:
-                    conn.makefile("rb").readline()
+                with conn, conn.makefile("rb") as rfile:
+                    sent.append(rfile.readline())
                     conn.sendall(line)
-                    conn.makefile("rb").readline()
+                    sent.append(rfile.readline())
 
             thread = threading.Thread(target=reply_garbage)
             thread.start()
@@ -464,8 +436,117 @@ class TestDriverAborts:
             thread.join(10.0)
         assert not thread.is_alive()
         assert t.aborted and t.verdict is None
-        assert [m.kind for m in t.messages] == ["HELLO", "ABORT"]
+        assert [m.kind for m in t.messages] == ["HELLO"] * (1 + logged) + ["ABORT"]
         assert reason in t.abort_reason
+        assert t.to_bytes() == sent[0] + line * logged + sent[1]
+
+
+def _deepest_accepted() -> int:
+    """The deepest list, as a field of a message, that decode_line accepts when
+    called from here: a caller's _drive calls it at the same stack depth."""
+    lo, hi = 0, 4096
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            tp.decode_line(b'{"kind":"ABORT","session":"s","reason":'
+                           + b"[" * mid + b"]" * mid + b"}")
+            lo = mid
+        except tp.DecodeError:
+            hi = mid
+    return lo
+
+
+class TestDepthAtTheDecoderLimit:
+    """A value nested up to the decoder's own limit, and past it, ends the session
+    in an ABORT in every state that reads a message, and the transcript holds
+    the lines as they crossed the wire."""
+
+    PARAMS = make_params(k=1)
+    BODIES = {"HELLO": None, "COMMIT": {"amplitudes": [[1.0, 0.0]]},
+              "OPEN": {"bit": 0, "phases": [0]},
+              "VERDICT": {"accepted": True, "counts": [0]}, "ABORT": {"reason": "x"}}
+    # (endpoint, peer messages before the nested one with the number of lines the
+    # endpoint answers each with, the nested message's kind and field)
+    CASES = {
+        "bob-wait_hello-role": ("bob", [], "HELLO", "role"),
+        "bob-wait_hello-reason": ("bob", [], "ABORT", "reason"),
+        "bob-wait_commit-amplitudes": ("bob", [("HELLO", 1)], "COMMIT", "amplitudes"),
+        "bob-wait_commit-reason": ("bob", [("HELLO", 1)], "ABORT", "reason"),
+        "bob-wait_open-phases": ("bob", [("HELLO", 1), ("COMMIT", 0)], "OPEN", "phases"),
+        "bob-wait_open-bit": ("bob", [("HELLO", 1), ("COMMIT", 0)], "OPEN", "bit"),
+        "bob-wait_open-reason": ("bob", [("HELLO", 1), ("COMMIT", 0)], "ABORT", "reason"),
+        "alice-wait_hello-energy": ("alice", [], "HELLO", "energy"),
+        "alice-wait_hello-reason": ("alice", [], "ABORT", "reason"),
+        "alice-wait_verdict-counts": ("alice", [("HELLO", 2)], "VERDICT", "counts"),
+        "alice-wait_verdict-accepted": ("alice", [("HELLO", 2)], "VERDICT", "accepted"),
+        "alice-wait_verdict-reason": ("alice", [("HELLO", 2)], "ABORT", "reason"),
+    }
+
+    def body(self, kind, peer):
+        body = self.BODIES[kind]
+        return tp._params_body(self.PARAMS, peer) if body is None else body
+
+    @staticmethod
+    def endpoint(session, sock, out):
+        # _deepest_accepted and _drive are called from this one frame
+        with sock:
+            out.put(_deepest_accepted())
+            try:
+                out.put(tp._drive(session, sock))
+            except Exception as exc:  # surfaced in the test
+                out.put(exc)
+
+    def run(self, srv, role, lead, kind, field, depth_offset):
+        """One session: the value's depth, whether the nested line decoded, the
+        transcript and the bytes that crossed the wire, in wire order."""
+        if role == "bob":
+            session = tp.BobSession(tp.BobStrategy(), self.PARAMS, tp.ChannelModel(),
+                                    np.random.default_rng(0), "s")
+            peer, initial = "alice", 0
+        else:
+            session = tp.AliceSession(proto.HonestAlice(0), self.PARAMS, tp.ChannelModel(),
+                                      np.random.default_rng(0), "s")
+            peer, initial = "bob", 1
+        out = queue.Queue()
+        with socket.create_connection(srv.getsockname(), timeout=10.0) as sock:
+            conn, _ = srv.accept()
+            thread = threading.Thread(target=self.endpoint, args=(session, conn, out))
+            thread.start()
+            depth = out.get(timeout=10.0) + depth_offset
+            doc = {"kind": kind, "session": "s", **self.body(kind, peer), field: "@"}
+            nested = (json.dumps(doc, separators=(",", ":"))
+                      .replace('"@"', "[" * depth + "]" * depth).encode() + b"\n")
+            lines = [tp.encode(tp.WireMessage(k, "s", self.body(k, peer))) for k, _ in lead]
+            assert len(nested) < tp._line_limit(session)
+            sock.sendall(b"".join(lines) + nested)
+            with sock.makefile("rb") as rfile:
+                replies = rfile.readlines()
+            thread.join(10.0)
+        assert not thread.is_alive()
+        log = out.get(timeout=10.0)
+        if isinstance(log, Exception):
+            raise log
+        # the wire order: the endpoint's first lines, then each line it read and
+        # its answers to that line
+        crossed = replies[:initial]
+        for line, (_, answers) in zip(lines, lead):
+            crossed += [line] + replies[initial:initial + answers]
+            initial += answers
+        decoded = "maximum recursion depth exceeded" not in session.abort_reason
+        crossed += [nested] * decoded + replies[initial:]
+        return depth, decoded, tp._transcript(log, session), b"".join(crossed)
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_every_depth_ends_in_an_abort(self, case):
+        outcomes = {}
+        with socket.create_server(("127.0.0.1", 0)) as srv:
+            for depth_offset in range(-12, 3):
+                depth, decoded, t, crossed = self.run(srv, *case, depth_offset)
+                assert t.aborted and t.messages[-1].kind == "ABORT", depth
+                assert t.to_bytes() == crossed, depth
+                outcomes[depth_offset] = decoded
+        # the limit measured in the thread is the one _drive met
+        assert outcomes == {offset: offset <= 0 for offset in range(-12, 3)}
 
 
 class TestStateMachine:
