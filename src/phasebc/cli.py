@@ -98,10 +98,8 @@ _PORT = _checked(int, int, 1, 65535)
 _PROBABILITY = _checked(float, _check_probability)
 _TRANSMITTIVITY = _checked(float, _check_transmittivity)
 _ENERGY = _energy_types()
-# bounds keeps about 46 bytes per photon number up to the density cutoff, and
-# at this cap a report peaks near 250 MB.  _MAX_REPORT_ENERGY is the largest
-# double E with density_cutoff(E) <= _MAX_CUTOFF, found by bisection.
-_MAX_CUTOFF = 2 ** 22
+# the largest double E with density_cutoff(E) <= fock._MAX_CUTOFF, found by
+# bisection: a report energy is refused at parse time
 _MAX_REPORT_ENERGY = 4167676.601718171
 _REPORT_ENERGY = _energy_types(high=_MAX_REPORT_ENERGY)
 # a subnormal E carries fewer than 53 significant bits

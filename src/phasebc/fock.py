@@ -17,6 +17,9 @@ import numpy as np
 
 # rounding headroom on the squared norm of a truncated state
 NORM_SLACK = 1e-9
+# The most photon numbers a truncation may hold: a bounds report keeps about 46
+# bytes per photon number up to the density cutoff, and peaks near 250 MB here.
+_MAX_CUTOFF = 2 ** 22
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -69,7 +72,7 @@ def cutoff_for_energy(energy: float, tail_tol: float) -> int:
     # = tail_tol e^-37, below the tail's rounding: [lo, hi] holds the answer
     L = 37 - math.log(tail_tol)
     d = L / 3 + math.sqrt((L / 3) ** 2 + 2 * L * energy)
-    if d > 2 ** 21:  # the reports' cap on photon numbers
+    if 2 * d > _MAX_CUTOFF:
         raise ValueError(f"energy {energy!r} needs over 2^22 photon numbers in its tail sum")
     lo, hi = max(0, math.floor(energy - d)), math.ceil(energy + d)
     # tails[i] = P(X >= lo + i), summed from the top, where the terms are least
@@ -79,7 +82,10 @@ def cutoff_for_energy(energy: float, tail_tol: float) -> int:
 
 def density_cutoff(energy: float) -> int:
     """Truncation policy for density-matrix work: tail cutoff plus margin."""
-    return cutoff_for_energy(energy, 1e-12) + math.ceil(6.0 * math.sqrt(energy)) + 10
+    cutoff = cutoff_for_energy(energy, 1e-12) + math.ceil(6.0 * math.sqrt(energy)) + 10
+    if cutoff > _MAX_CUTOFF:
+        raise ValueError(f"energy {energy!r} needs a cutoff of {cutoff}, over 2^22")
+    return cutoff
 
 
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n) for n = 1..15, from mpmath

@@ -1,10 +1,11 @@
-"""Commit/open state machines for the two parties.
+"""The protocol's parameters, commit and verify steps, and sender strategies.
 
 Alice encodes her bit in k coherent-state phases; Bob checks a reveal by
 displacing each received mode back to vacuum and photon counting, and
 accepts only an all-zeros count record.  Photon counting on coherent
 states is simulated exactly by per-mode Poisson draws, so no density
-matrices appear on this path.
+matrices appear on this path.  The state machines that run a session are
+transport.AliceSession and transport.BobSession.
 """
 
 from __future__ import annotations

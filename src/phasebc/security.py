@@ -138,7 +138,7 @@ def epsilon_secure_check(t: float, M: int, k: int, epsilon: float) -> SecurityCh
     """
     epsilon = _check_probability(epsilon)
     t, M, k = _check_nonnegative(t, "amplitude t"), _check_order(M), _check_count(k)
-    pcb = k * trace_norm_bound(t, M).value  # pcb_bound(t, M, k)
+    pcb = pcb_bound(t, M, k)
     pca = pca_exact(t * t, k, M)
     failed = []
     if pca > epsilon:

@@ -22,7 +22,6 @@ import math
 import operator
 import socket
 import threading
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -38,9 +37,7 @@ KINDS = ("HELLO", "COMMIT", "OPEN", "VERDICT", "ABORT")
 
 
 class DecodeError(Exception):
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
+    """A line that is not a message; only a stream reader knows where it lies."""
 
 
 class ProtocolStateError(Exception):
@@ -176,22 +173,22 @@ class _FloatLiterals(dict):
         return x
 
 
-def decode_line(line: bytes, offset: int = 0) -> WireMessage:
+def decode_line(line: bytes) -> WireMessage:
     try:
         doc = json.loads(line.decode("utf-8"), parse_float=_FloatLiterals().__getitem__,
                          parse_constant=_finite_float)
     except (ValueError, RecursionError) as exc:  # ValueError covers UnicodeDecodeError
-        raise DecodeError(f"malformed message line: {exc}", offset) from exc
+        raise DecodeError(f"malformed message line: {exc}") from exc
     if not isinstance(doc, dict):
-        raise DecodeError("message is not an object", offset)
+        raise DecodeError("message is not an object")
     kind = doc.pop("kind", None)
     session = doc.pop("session", None)
     if not isinstance(session, str):
-        raise DecodeError("missing session id", offset)
+        raise DecodeError("missing session id")
     try:
         msg = WireMessage(kind, session, doc)
     except ValueError as exc:  # an unknown kind
-        raise DecodeError(str(exc), offset) from exc
+        raise DecodeError(str(exc)) from exc
     # the transcript logs the line as it came: a phasebc peer's line is its canonical
     # encoding, and a received message is never formatted, however deep its values
     msg.__dict__["_encoded"] = line if line.endswith(b"\n") else line + b"\n"
@@ -218,15 +215,10 @@ _HELLO_NAMES, _HELLO_ATTRS, _HELLO_TYPES = zip(
     ("repetitions", "k", {int}), ("epsilon", "epsilon", {int, float}),
     ("tau", "tau", {int, float}))
 _agreed = operator.attrgetter(*_HELLO_ATTRS)
-# HELLO's fields per live ProtocolParams object, by identity: 0.0 == -0.0 prints apart
-_hello_fields: dict[int, dict] = {}
 
 
 def _params_body(params: proto.ProtocolParams, role: str) -> dict:
-    if (fields := _hello_fields.get(id(params))) is None:
-        fields = _hello_fields[id(params)] = dict(zip(_HELLO_NAMES, _agreed(params)))
-        weakref.finalize(params, _hello_fields.pop, id(params), None)
-    return {"role": role, **fields}  # a new body: editing one leaves the next alone
+    return dict(zip(("role", *_HELLO_NAMES), (role, *_agreed(params))))
 
 
 def _hello_mismatch(body: dict, params: proto.ProtocolParams, peer: str) -> str:
@@ -459,8 +451,7 @@ class BobSession(_Endpoint):
 
 def _endpoints(alice_strategy: proto.AliceStrategy | None,
                bob_strategy: BobStrategy | None, params: proto.ProtocolParams,
-               channel: ChannelModel | None, seed, session_id: str,
-               bob_params: proto.ProtocolParams | None = None
+               channel: ChannelModel | None, seed, session_id: str
                ) -> tuple[AliceSession, BobSession]:
     """Both endpoints of one session, seeded as by SeedSequence(seed).spawn(2)."""
     channel = channel or ChannelModel()
@@ -468,7 +459,7 @@ def _endpoints(alice_strategy: proto.AliceStrategy | None,
     alice_rng, bob_rng = (np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy, spawn_key=(j,)))) for j in (0, 1))
     return (AliceSession(alice_strategy, params, channel, alice_rng, session_id),
-            BobSession(bob_strategy, bob_params or params, channel, bob_rng, session_id))
+            BobSession(bob_strategy, params, channel, bob_rng, session_id))
 
 
 def _transcript(log: list[WireMessage], *endpoints: _Endpoint) -> SessionTranscript:
@@ -484,8 +475,7 @@ def _transcript(log: list[WireMessage], *endpoints: _Endpoint) -> SessionTranscr
 def run_session(alice_strategy: proto.AliceStrategy, bob_strategy: BobStrategy,
                 params: proto.ProtocolParams, channel: ChannelModel | None = None,
                 seed=0, session_id: str = "session-0",
-                transport: str = "loopback",
-                bob_params: proto.ProtocolParams | None = None) -> SessionTranscript:
+                transport: str = "loopback") -> SessionTranscript:
     """Run one full session and return its transcript.
 
     transport="loopback" pumps the two state machines in process;
@@ -494,8 +484,7 @@ def run_session(alice_strategy: proto.AliceStrategy, bob_strategy: BobStrategy,
     scales the amplitudes by sqrt(params.tau), the transmittivity the sender
     pre-compensates for.
     """
-    alice, bob = _endpoints(alice_strategy, bob_strategy, params, channel, seed,
-                            session_id, bob_params)
+    alice, bob = _endpoints(alice_strategy, bob_strategy, params, channel, seed, session_id)
     if transport == "loopback":
         return _run_loopback(alice, bob)
     if transport == "tcp":

@@ -14,7 +14,7 @@ from phasebc.codestates import _check_bit, _signs, code_phases, eigen_sigma
 from phasebc.fock import (FockVector, _log_poisson_weights, _readonly, coherent_vector,
                           poisson_weights)
 from phasebc.mayers import build_kit
-from phasebc.transport import decode_line
+from phasebc.transport import DecodeError, decode_line
 
 # Numeric tolerances: double precision headroom over truncation error.
 HERMITICITY_TOL = 1e-12
@@ -339,11 +339,14 @@ def dense_report(params):
 
 def decode_stream(data):
     """The messages of a transcript's bytes, line by line; a DecodeError
-    carries the byte offset of the line it came from."""
+    names the byte offset of the line it came from."""
     messages = []
     offset = 0
     for line in data.split(b"\n"):
         if line:
-            messages.append(decode_line(line, offset))
+            try:
+                messages.append(decode_line(line))
+            except DecodeError as exc:
+                raise DecodeError(f"{exc} (byte offset {offset})") from exc
         offset += len(line) + 1
     return messages

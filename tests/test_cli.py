@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasebc import cli, transport
+from phasebc import cli, fock, transport
 from phasebc.codestates import (_check_count, _check_nonnegative, _check_probability,
                                 _check_transmittivity)
 from phasebc.fock import density_cutoff
@@ -350,7 +350,7 @@ class TestAllocationCaps:
         (["wigner", "--points", "2", "-M", "20000"], 20000, cli._MAX_MIXTURE),
         (["mayers", "-M", "80000"], 80000, cli._MAX_ORDER),
         # density cutoff 104,141 at E = 1e5, against the cap of 2^22 photon numbers
-        (["mayers", "-E", "100000", "-M", "2"], 104141, cli._MAX_CUTOFF),
+        (["mayers", "-E", "100000", "-M", "2"], 104141, fock._MAX_CUTOFF),
         # the plan at t = 30 is M = 4923, after scanning 4922 orders
         (["plan", "-t", "30", "--scan-limit", "10000"], 4922, cli._MAX_SCAN),
     ], ids=["simulate -k", "wigner --points", "wigner -M", "mayers -M", "mayers -E",
@@ -375,8 +375,9 @@ class TestAllocationCaps:
 
 def test_report_energy_cap_is_the_last_double_within_the_cutoff_cap():
     # the cap replaces a density_cutoff call at parse time
-    assert density_cutoff(cli._MAX_REPORT_ENERGY) <= cli._MAX_CUTOFF
-    assert density_cutoff(math.nextafter(cli._MAX_REPORT_ENERGY, math.inf)) > cli._MAX_CUTOFF
+    assert density_cutoff(cli._MAX_REPORT_ENERGY) == fock._MAX_CUTOFF == 4194304
+    with pytest.raises(ValueError, match="needs a cutoff of 4194305"):
+        density_cutoff(math.nextafter(cli._MAX_REPORT_ENERGY, math.inf))
 
 
 def test_import_leaves_out_lazy_modules():

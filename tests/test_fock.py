@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from scipy.special import gammainc, gammaln
 
 from phasebc import fock
+from phasebc.codestates import CodeParams
 from phasebc.fock import FockVector, coherent_vector, cutoff_for_energy
 from phasebc.protocol import QuantumPayload
+from phasebc.security import security_report
 
 import oracles
 from oracles import FockOperator, displacement_matrix, helstrom_success, outer, trace_norm
@@ -91,6 +94,21 @@ class TestCutoffForEnergy:
         # the tail window would hold more than 2^22 photon numbers
         with pytest.raises(ValueError, match="over 2\\^22 photon numbers"):
             cutoff_for_energy(energy, 1e-12)
+
+    def test_density_cutoff_above_the_cap_raises_before_allocating(self):
+        # E = 1e8 needs a density cutoff of 100,130,363, arrays of 1e8 doubles;
+        # its tail window is under 2^18 wide. The cheap calls come first.
+        calls = [lambda: fock.density_cutoff(1e8), lambda: CodeParams.from_energy(1e8, 8),
+                 lambda: security_report(1e4, 8, 1, 1e-2)]
+        for call in calls:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="cutoff of 100130363, over 2\\^22"):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 20 * 10 ** 6
 
 
 class TestCoherentVector:

@@ -1,9 +1,11 @@
 """The package ships what it runs: every top-level function and class under
 src/phasebc is referenced by other package code or exported by phasebc,
-every method of its classes is referenced somewhere, and the dense
+every method of its classes is referenced somewhere, every defaulted
+parameter is set by some caller outside the tests, and the dense
 references that only tests use live in tests/oracles.py."""
 
 import ast
+import collections
 from pathlib import Path
 
 import phasebc
@@ -60,6 +62,49 @@ def test_every_method_is_referenced():
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in attributes)
     assert unused == []
+
+
+def test_every_default_parameter_is_set_outside_the_tests():
+    # a defaulted parameter counts as set where a call by the function's name (for
+    # __init__, the class's) in the package or its benchmark passes it by keyword,
+    # by position or through * or **; one only tests set is a constant, or
+    # belongs in the tests
+    sources = [*PACKAGE.glob("*.py"), *(path for path in CALLERS[2].glob("*.py")
+                                        if not path.name.startswith("test_"))]
+    calls = collections.defaultdict(list)
+    for path in sorted(sources):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls[func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                      ].append(node)
+
+    def sets(call, position, name):
+        starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+        return (any(kw.arg in (None, name) for kw in call.keywords)
+                or position is not None and (starred or position < len(call.args)))
+
+    unset = []
+    for module, tree in parse_modules().items():
+        owner = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for node in cls.body}
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            cls, args = owner.get(id(function)), function.args
+            positional = args.posonlyargs + args.args
+            if cls is not None:  # no static methods: a call leaves out self or cls
+                positional = positional[1:]
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            names = (cls, "__init__") if function.name == "__init__" else (function.name,)
+            callers = [call for name in names for call in calls[name]]
+            qualname = f"{module}.{cls}.{function.name}" if cls else f"{module}.{function.name}"
+            unset += [f"{qualname}({name})" for position, name in defaulted
+                      if not any(sets(call, position, name) for call in callers)]
+    assert unset == []
 
 
 def imports():
@@ -122,7 +167,7 @@ def test_csv_formats_only_its_axes_through_float_texts(monkeypatch):
 
 def test_one_comparison_against_kinds():
     # WireMessage alone tests a kind; decode_line turns its ValueError into a
-    # DecodeError with the line's offset
+    # DecodeError
     sites = [module for module, tree in parse_modules().items() for node in ast.walk(tree)
              if isinstance(node, ast.Compare)
              and "KINDS" in {n.id for n in node.comparators if isinstance(n, ast.Name)}]
