@@ -1,7 +1,7 @@
 """Phase-encoded coherent-state bit commitment: numerics and simulation.
 
 Layout:
-  fock        truncated Fock-space vectors and the Poisson photon-number weights
+  fock        coherent amplitude arrays, the truncation policy and the Poisson weights
   codestates  the parameter rules, the code book and the code states' eigensystem
   protocol    commit/open state machines and the displace-and-count check
   security    cheating bounds, epsilon-security, parameter search
@@ -14,7 +14,7 @@ Dense operators that only tests compare against live in tests/oracles.py.
 """
 
 from .codestates import CodeParams, code_phases, eigen_sigma
-from .fock import FockVector, coherent_vector, cutoff_for_energy, density_cutoff
+from .fock import coherent_vector, cutoff_for_energy, density_cutoff
 from .mayers import MayersKit, build_kit, verification_report
 from .phasespace import (
     GridSpec,

@@ -1,65 +1,23 @@
 """Truncated single-mode Fock-space numerics.
 
-Vectors on span{|0>, ..., |N>}, the truncation policy for a given energy,
-and the Poisson photon-number weights from which every coherent amplitude
-is built.  Everything here is a pure function of its inputs.  The dense
-operators the package does not use (density matrices, displacement, trace
-norm, Helstrom success) are test oracles in ``tests/oracles.py``.
+Amplitude arrays on span{|0>, ..., |N>} as plain complex128 arrays, the
+truncation policy for a given energy, and the Poisson photon-number weights
+from which every coherent amplitude is built.  Everything here is a pure
+function of its inputs.  The dense operators the package does not use
+(density matrices, displacement, trace norm, Helstrom success) are test
+oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-# rounding headroom on the squared norm of a truncated state
-NORM_SLACK = 1e-9
 # The most photon numbers a truncation may hold: a bounds report keeps about 46
 # bytes per photon number up to the density cutoff, and peaks near 250 MB here.
 _MAX_CUTOFF = 2 ** 22
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True)
-class FockVector:
-    """Complex amplitude vector on the truncated number basis.
-
-    Sub-normalized vectors are allowed (truncations of normalized states);
-    the squared norm may not exceed 1 beyond rounding slack.
-    """
-
-    cutoff: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be non-negative")
-        amps = np.array(self.amps, dtype=np.complex128)
-        if amps.shape != (self.cutoff + 1,):
-            raise ValueError(
-                f"expected {self.cutoff + 1} amplitudes, got shape {amps.shape}"
-            )
-        if not np.all(np.isfinite(amps.view(np.float64))):
-            raise ValueError("amplitudes must be finite")
-        n2 = float(np.vdot(amps, amps).real)
-        if n2 > 1.0 + NORM_SLACK:
-            raise ValueError(f"squared norm {n2} exceeds 1")
-        object.__setattr__(self, "amps", _readonly(amps))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def inner(self, other: "FockVector") -> complex:
-        if other.cutoff != self.cutoff:
-            raise ValueError("cutoff mismatch")
-        return complex(np.vdot(self.amps, other.amps))
 
 
 def cutoff_for_energy(energy: float, tail_tol: float) -> int:
@@ -81,7 +39,15 @@ def cutoff_for_energy(energy: float, tail_tol: float) -> int:
 
 
 def density_cutoff(energy: float) -> int:
-    """Truncation policy for density-matrix work: tail cutoff plus margin."""
+    """Truncation policy for density-matrix work: tail cutoff plus margin.
+
+    The cutoff is at least E: the Poisson median is at least E - ln 2 and the
+    margin adds at least 10, so an energy above the cap is refused unsummed.
+    """
+    from .codestates import _check_nonnegative  # codestates imports fock
+
+    if _check_nonnegative(energy, "energy") > _MAX_CUTOFF:
+        raise ValueError(f"energy {energy!r} needs a cutoff over 2^22")
     cutoff = cutoff_for_energy(energy, 1e-12) + math.ceil(6.0 * math.sqrt(energy)) + 10
     if cutoff > _MAX_CUTOFF:
         raise ValueError(f"energy {energy!r} needs a cutoff of {cutoff}, over 2^22")
@@ -159,11 +125,11 @@ def _log_poisson_weights(energy: float, cutoff: int, start: int = 0) -> np.ndarr
     return out
 
 
-def coherent_vector(alpha: complex, cutoff: int) -> FockVector:
-    """Coherent state |alpha> truncated at the given photon number."""
+def coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
+    """Amplitudes <n|alpha> of the coherent state |alpha> for n = 0..cutoff."""
     alpha = complex(alpha)
     radial = np.exp(_log_poisson_weights(abs(alpha) ** 2, cutoff) / 2.0)
-    return FockVector(cutoff, radial * np.exp(1j * cmath.phase(alpha) * np.arange(cutoff + 1)))
+    return radial * np.exp(1j * cmath.phase(alpha) * np.arange(cutoff + 1))
 
 
 def poisson_weights(energy: float, cutoff: int) -> np.ndarray:

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codestates import CodeParams, _check_order, _double, code_phases
-from .fock import FockVector, _log_poisson_weights
+from .fock import _log_poisson_weights
 
 
 @dataclass(frozen=True)
 class GridSpec:
     x_range: tuple[float, float]
     p_range: tuple[float, float]
-    points: int = 201
+    points: int
 
     def __post_init__(self):
         object.__setattr__(self, "points", _check_order(self.points, "grid points"))
@@ -34,7 +34,7 @@ class GridSpec:
             object.__setattr__(self, name, (lo, hi))
 
     @classmethod
-    def centered(cls, halfwidth: float, points: int = 201) -> "GridSpec":
+    def centered(cls, halfwidth: float, points: int) -> "GridSpec":
         return cls((-halfwidth, halfwidth), (-halfwidth, halfwidth), points)
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -92,10 +92,8 @@ def code_state_points(b: int, params: CodeParams) -> list[tuple[float, complex]]
     return [(w, params.t * cmath.exp(1j * phase)) for phase in phases]
 
 
-def wigner_sigma(b: int, params: CodeParams, grid: GridSpec | None = None) -> WignerGrid:
-    """Wigner grid of the average code state; default window [-(t+4), t+4]^2."""
-    if grid is None:
-        grid = GridSpec.centered(params.t + 4.0)
+def wigner_sigma(b: int, params: CodeParams, grid: GridSpec) -> WignerGrid:
+    """Wigner grid of the average code state sigma_b."""
     return wigner_mixture(code_state_points(b, params), grid)
 
 
@@ -120,15 +118,17 @@ class StellarPolynomial:
         return int(np.flatnonzero(self.coeffs)[0])
 
 
-def stellar_polynomial(v: FockVector) -> StellarPolynomial:
-    """Polynomial sum_n d_n alpha^n, d_n = c_n / sqrt(n!), with the trailing zeros
-    of d stripped: d_n can underflow to 0 where c_n does not (from n = 178 for
-    a coherent state at alpha = 1)."""
-    c = np.asarray(v.amps)
+def stellar_polynomial(amps) -> StellarPolynomial:
+    """Polynomial sum_n d_n alpha^n of the amplitudes c_n, d_n = c_n / sqrt(n!),
+    with the trailing zeros of d stripped: d_n can underflow to 0 where c_n does
+    not (from n = 178 for a coherent state at alpha = 1)."""
+    c = np.asarray(amps, dtype=np.complex128)
+    if c.ndim != 1 or not np.isfinite(c).all():
+        raise ValueError("amplitudes must be a 1-D array of finite numbers")
     if not c.any():
         raise ValueError("zero state has no stellar polynomial")
     # log(1/n!) = log(e^-1 1^n / n!) + 1, the Poisson(1) log weight plus 1
-    d = c * np.exp(0.5 * (_log_poisson_weights(1.0, v.cutoff) + 1.0))
+    d = c * np.exp(0.5 * (_log_poisson_weights(1.0, c.size - 1) + 1.0))
     nz = np.flatnonzero(d)
     if nz.size == 0:
         raise ValueError("every coefficient c_n / sqrt(n!) underflows to 0")

@@ -96,16 +96,14 @@ class Verdict:
 
 
 class QuantumPayload:
-    """The k transmitted modes, sealed against direct inspection.
+    """The k received modes, sealed against direct inspection.
 
-    The honest receiver interface is measurement-only: displace each mode
-    by a chosen amplitude and count photons.  Raw amplitudes are reachable
-    only through the module-private accessor used by the session runner
-    (channel scaling, adversarial receivers in bound-validation runs).
+    The receiving endpoint seals the amplitudes it decodes, and its strategy
+    gets only this measurement: displace each mode by a chosen amplitude and
+    count photons.  Nothing in the package reads the amplitudes back out.
     """
 
     __slots__ = ("_amps",)
-    sealed = True
 
     def __init__(self, amplitudes):
         amps = np.array(amplitudes, dtype=np.complex128)
@@ -134,17 +132,12 @@ class QuantumPayload:
         return rng.poisson(mag * mag)  # bitwise mag ** 2
 
     def __repr__(self) -> str:
-        return f"QuantumPayload(k={len(self)}, sealed={self.sealed})"
-
-
-def _raw_amplitudes(payload: QuantumPayload) -> np.ndarray:
-    # Runner-side accessor; strategies must not call this on sealed payloads.
-    return payload._amps
+        return f"QuantumPayload(k={len(self)})"
 
 
 def commit(b: int, params: ProtocolParams,
-           rng: np.random.Generator) -> tuple[Commitment, QuantumPayload]:
-    """Sample the phase string and prepare the pre-channel payload.
+           rng: np.random.Generator) -> tuple[Commitment, np.ndarray]:
+    """Sample the phase string and the k pre-channel amplitudes.
 
     Amplitudes carry energy E/tau so that the received energy is E after
     the sqrt(tau) channel scaling.
@@ -152,7 +145,7 @@ def commit(b: int, params: ProtocolParams,
     m = rng.integers(0, params.M, size=params.k)
     commitment = Commitment(b, tuple(m.tolist()))  # tests the bit; the draws lie in [0, M)
     amp = math.sqrt(params.energy / params.tau)
-    return commitment, QuantumPayload(amp * np.exp(1j * _phase_angles(m, b, params.M)))
+    return commitment, amp * np.exp(1j * _phase_angles(m, b, params.M))
 
 
 def expected_amplitudes(revealed_b: int, revealed_m, params: ProtocolParams) -> np.ndarray:

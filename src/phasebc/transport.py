@@ -9,8 +9,8 @@ seeds.  A sent message is formatted once; a received one is logged as the
 line it came in, which a phasebc peer formats the same way.
 
 The commitment payload travels on the wire (this is a simulation), but
-the receiving endpoint hands its strategy a sealed object whose only
-public operation is displace-and-count.  Raw amplitudes reach a receiver
+the receiving endpoint seals it before its strategy sees it: the sealed
+object's only public operation is displace-and-count.  Raw amplitudes reach a receiver
 strategy only when the channel model is explicitly marked adversarial,
 which exists to validate the concealment bound empirically.
 """
@@ -298,7 +298,7 @@ class HelstromBob(BobStrategy):
 
     def _p_zero_at(self, alpha) -> float:
         """p_0 = sum_r |<u_r|v>|^2 for the coherent state v of amplitude alpha."""
-        v = coherent_vector(complex(alpha), self._cutoff).amps
+        v = coherent_vector(complex(alpha), self._cutoff)
         return float((np.abs(_by_class(self.u * v, self._M).sum(axis=1)) ** 2).sum())
 
 
@@ -367,7 +367,6 @@ class AliceSession(_Endpoint):
     initial_state = "init"
     expects = {"wait_hello": "HELLO", "wait_verdict": "VERDICT"}
     role, peer = "alice", "bob"
-    commitment: proto.Commitment | None = None
 
     def start(self) -> list[WireMessage]:
         if self.state != "init":
@@ -381,9 +380,9 @@ class AliceSession(_Endpoint):
             return replies
         if self.state == "wait_hello":
             bit = self.strategy.commitment_bit(self.params, self.rng)
-            self.commitment, payload = proto.commit(bit, self.params, self.rng)
-            received = proto._raw_amplitudes(payload) * math.sqrt(self.params.tau)
-            revealed_b, revealed_m = self.strategy.reveal(self.commitment)
+            commitment, sent = proto.commit(bit, self.params, self.rng)
+            received = sent * math.sqrt(self.params.tau)
+            revealed_b, revealed_m = self.strategy.reveal(commitment)
             self.state = "wait_verdict"
             pairs = received.view(np.float64).reshape(-1, 2).tolist()  # [re, im] per mode
             return [self._msg("COMMIT", {"amplitudes": pairs}),

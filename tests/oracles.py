@@ -1,6 +1,6 @@
 """References that only tests compare the package against: the dense
-operator type, the dense forms of what the package keeps as vectors or
-class sums, the closed-form and sampled acceptance laws of a fixed reveal
+operator type, the dense forms of what the package keeps as amplitude
+arrays or class sums, the closed-form and sampled acceptance laws of a fixed reveal
 offset, and a transcript reader."""
 
 import cmath
@@ -11,8 +11,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from phasebc.codestates import _check_bit, _signs, code_phases, eigen_sigma
-from phasebc.fock import (FockVector, _log_poisson_weights, _readonly, coherent_vector,
-                          poisson_weights)
+from phasebc.fock import _log_poisson_weights, coherent_vector, poisson_weights
 from phasebc.mayers import build_kit
 from phasebc.transport import DecodeError, decode_line
 
@@ -36,12 +35,13 @@ class FockOperator:
         d = self.cutoff + 1
         if m.shape != (d, d):
             raise ValueError(f"expected {d}x{d} matrix, got shape {m.shape}")
-        object.__setattr__(self, "matrix", _readonly(m))
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
 
 def outer(v):
-    """|v><v| of a FockVector as a dense operator."""
-    return FockOperator(v.cutoff, np.outer(v.amps, v.amps.conj()))
+    """|v><v| of an amplitude array as a dense operator."""
+    return FockOperator(v.size - 1, np.outer(v, v.conj()))
 
 
 def assert_hermitian(op):
@@ -102,7 +102,7 @@ def helstrom_success(rho0, rho1):
 def stellar_coefficients(v):
     """c_n / sqrt(n!) for n = 0..cutoff, with log n! from scipy's log-gamma
     instead of the package's Poisson kernel."""
-    return np.asarray(v.amps) * np.exp(-0.5 * gammaln(np.arange(v.cutoff + 1) + 1))
+    return v * np.exp(-0.5 * gammaln(np.arange(v.size) + 1))
 
 
 # The code states as dense matrices
@@ -134,7 +134,7 @@ def build_sigma_mixture(b, params):
     for m in range(params.M):
         amp = params.t * cmath.exp(1j * float(code_phases(m, b, params.M)))
         v = coherent_vector(amp, params.cutoff)
-        acc += np.outer(v.amps, v.amps.conj())
+        acc += np.outer(v, v.conj())
     return FockOperator(params.cutoff, acc / params.M)
 
 
@@ -197,11 +197,10 @@ def pca_approx(energy, k, M):
 
 
 def class_vectors(b, params):
-    """sigma_b's sub-normalized eigenvectors, one FockVector per residue class."""
+    """sigma_b's sub-normalized eigenvectors, one amplitude array per residue class."""
     _, amps = eigen_sigma(b, params)
     r = np.arange(params.cutoff + 1) % params.M
-    return tuple(FockVector(params.cutoff, np.where(r == s, amps, 0.0))
-                 for s in range(params.M))
+    return tuple(np.where(r == s, amps, 0.0) for s in range(params.M))
 
 
 def normalized_vector(b, params, r):
@@ -237,9 +236,8 @@ def purification_matrix(kit, b):
 
 
 def build_purification(b, params):
-    """|Phi_b> as one FockVector of (N+1)^2 amplitudes."""
-    psi = purification_matrix(build_kit(params), b)
-    return FockVector(psi.size - 1, psi.reshape(-1))
+    """|Phi_b> as one array of (N+1)^2 amplitudes."""
+    return purification_matrix(build_kit(params), b).reshape(-1)
 
 
 def build_U(params):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ from scipy.special import gammainc, gammaln
 
 from phasebc import fock
 from phasebc.codestates import CodeParams
-from phasebc.fock import FockVector, coherent_vector, cutoff_for_energy
+from phasebc.fock import coherent_vector, cutoff_for_energy
 from phasebc.protocol import QuantumPayload
 from phasebc.security import security_report
 
@@ -96,35 +97,49 @@ class TestCutoffForEnergy:
             cutoff_for_energy(energy, 1e-12)
 
     def test_density_cutoff_above_the_cap_raises_before_allocating(self):
-        # E = 1e8 needs a density cutoff of 100,130,363, arrays of 1e8 doubles;
-        # its tail window is under 2^18 wide. The cheap calls come first.
+        # E = 1e8 needs a density cutoff of 100,130,363, arrays of 1e8 doubles.
+        # The cutoff is at least E, so it is refused before the tail sum, whose
+        # window under 2^18 wide once peaked at 9.3 MB.
         calls = [lambda: fock.density_cutoff(1e8), lambda: CodeParams.from_energy(1e8, 8),
                  lambda: security_report(1e4, 8, 1, 1e-2)]
         for call in calls:
             tracemalloc.start()
             try:
-                with pytest.raises(ValueError, match="cutoff of 100130363, over 2\\^22"):
+                with pytest.raises(ValueError, match="needs a cutoff.* over 2\\^22"):
                     call()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 20 * 10 ** 6
+            assert peak < 10 ** 6
 
 
 class TestCoherentVector:
+    @pytest.mark.parametrize("alpha, cutoff, digest", [
+        (0.0, 5, "c92580fa06fd712f4a92543961a7768f652e8cb6b79fce266bc2726475a3f6f7"),
+        (1.0, 40, "c6246ee945bb059385e9f1325ea03a3858468550e7a505c8ec37a4bf2dd322b1"),
+        (0.3 + 0.4j, 30, "38223ecac7e7dec29efd23ae3a5c089b986c97c03a3ff5ce8d3b7751372e5df0"),
+        (12.0, 300, "fb02c6b1b9e788043ce6491f236bc77725e9ad6897fd86e8e7301faf91a763f5"),
+    ])
+    def test_bits_pinned(self, alpha, cutoff, digest):
+        # the Helstrom receiver's guesses read these bits; the tolerance tests
+        # below would pass a change in the last place
+        v = coherent_vector(alpha, cutoff)
+        assert v.dtype == np.complex128 and v.shape == (cutoff + 1,)
+        assert hashlib.sha256(v.tobytes()).hexdigest() == digest
+
     def test_vacuum(self):
         v = coherent_vector(0.0, 5)
-        assert v.amps[0] == 1.0
-        assert np.all(v.amps[1:] == 0.0)
+        assert v[0] == 1.0
+        assert np.all(v[1:] == 0.0)
 
     def test_normalization(self):
         v = coherent_vector(1.0, 40)
-        assert abs(v.norm() ** 2 - 1.0) < 1e-12
+        assert abs(np.linalg.norm(v) ** 2 - 1.0) < 1e-12
 
     def test_overlap_closed_form(self):
         alpha, beta = 1.0, 1.0j
         n = cutoff_for_energy(1.0, 1e-14)
-        ip = coherent_vector(alpha, n).inner(coherent_vector(beta, n))
+        ip = np.vdot(coherent_vector(alpha, n), coherent_vector(beta, n))
         expected = np.exp(-(abs(alpha) ** 2 + abs(beta) ** 2) / 2
                           + np.conj(alpha) * beta)
         assert abs(ip - expected) < 1e-12
@@ -132,15 +147,15 @@ class TestCoherentVector:
     def test_tail_matches_cutoff_contract(self):
         n = cutoff_for_energy(2.0, 1e-10)
         v = coherent_vector(math.sqrt(2.0), n)
-        assert 1.0 - v.norm() ** 2 < 1e-10
+        assert 1.0 - np.linalg.norm(v) ** 2 < 1e-10
 
     def test_large_amplitude_does_not_underflow(self):
         # e^{-|alpha|^2/2} alone underflows to 0 beyond |alpha|^2 of about 1490
         alpha = 45.0 * np.exp(0.3j)
         v = coherent_vector(alpha, cutoff_for_energy(45.0 ** 2, 1e-12))
-        assert abs(v.norm() ** 2 - 1.0) < 1e-10
-        n = int(np.argmax(np.abs(v.amps)))
-        assert abs(v.amps[n + 1] / v.amps[n] - alpha / math.sqrt(n + 1)) < 1e-12
+        assert abs(np.linalg.norm(v) ** 2 - 1.0) < 1e-10
+        n = int(np.argmax(np.abs(v)))
+        assert abs(v[n + 1] / v[n] - alpha / math.sqrt(n + 1)) < 1e-12
 
 
 class TestPoissonWeights:
@@ -190,7 +205,7 @@ class TestOverlapProb:
     def test_against_truncated_inner_product(self):
         # |<alpha|beta>|^2 = exp(-|alpha - beta|^2)
         n = cutoff_for_energy(1.0, 1e-14)
-        ip = coherent_vector(1.0, n).inner(coherent_vector(-1.0, n))
+        ip = np.vdot(coherent_vector(1.0, n), coherent_vector(-1.0, n))
         assert abs(abs(ip) ** 2 - math.exp(-4.0)) < 1e-10
 
 
@@ -203,7 +218,7 @@ class TestDisplacement:
         n = cutoff_for_energy(1.0, 1e-12)
         d = displacement_matrix(1.0, n)
         target = coherent_vector(1.0, n)
-        overlap = abs(np.vdot(target.amps, d.matrix[:, 0]))
+        overlap = abs(np.vdot(target, d.matrix[:, 0]))
         assert overlap >= 1.0 - 10e-12
 
     def test_unitarity_defect_low_subspace(self):
@@ -335,14 +350,6 @@ class TestPhotonSampling:
 
 
 class TestDomainTypes:
-    def test_vector_length_invariant(self):
-        with pytest.raises(ValueError):
-            FockVector(3, np.zeros(3))
-
-    def test_vector_norm_invariant(self):
-        with pytest.raises(ValueError):
-            FockVector(1, np.array([1.0, 1.0]))
-
     def test_operator_shape_invariant(self):
         with pytest.raises(ValueError):
             FockOperator(2, np.zeros((3, 4)))
@@ -352,8 +359,3 @@ class TestDomainTypes:
         oracles.assert_density(good)
         with pytest.raises(ValueError):
             oracles.assert_density(FockOperator(1, np.diag([1.5, -0.5])))
-
-    def test_amps_readonly(self):
-        v = coherent_vector(0.5, 4)
-        with pytest.raises(ValueError):
-            v.amps[0] = 0.0

@@ -174,6 +174,20 @@ def test_one_comparison_against_kinds():
     assert sites == ["transport"]
 
 
+def test_only_the_payload_reads_its_amplitudes():
+    # the receiving endpoint seals the amplitudes in a QuantumPayload, and no
+    # package code outside its methods reads them back, by attribute or by name
+    modules = parse_modules()
+    inside = {id(node) for tree in modules.values() for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name == "QuantumPayload"
+              for node in ast.walk(cls)}
+    readers = [module for module, tree in modules.items() for node in ast.walk(tree)
+               if id(node) not in inside
+               and (isinstance(node, ast.Attribute) and node.attr == "_amps"
+                    or isinstance(node, ast.Constant) and node.value == "_amps")]
+    assert readers == []
+
+
 def test_both_endpoints_define_handle():
     # the benchmark's tracer wraps these two class attributes, and a missing
     # one reads as 0 instead of failing

@@ -24,20 +24,26 @@ def three_sigma(p, n):
     return 3.0 * math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
 
 
+def sealed_commit(b, params, rng):
+    """commit, with its amplitudes sealed as a receiver at tau = 1 gets them."""
+    c, amps = commit(b, params, rng)
+    return c, QuantumPayload(amps)
+
+
 class TestCommit:
     def test_deterministic_for_fixed_seed(self):
         params = ProtocolParams(1.0, 8, 12)
-        c1, p1 = commit(1, params, np.random.default_rng(42))
-        c2, p2 = commit(1, params, np.random.default_rng(42))
+        c1, a1 = commit(1, params, np.random.default_rng(42))
+        c2, a2 = commit(1, params, np.random.default_rng(42))
         assert c1 == c2
-        assert np.array_equal(proto._raw_amplitudes(p1), proto._raw_amplitudes(p2))
+        assert np.array_equal(a1, a2)
 
     @pytest.mark.parametrize("tau", [1.0, 0.7, 0.25])
     def test_received_energy(self, tau):
         params = ProtocolParams(1.0, 8, 20, tau=tau)
-        _, payload = commit(0, params, np.random.default_rng(1))
+        _, sent = commit(0, params, np.random.default_rng(1))
         # the link's scaling, as AliceSession applies it to the COMMIT
-        received = proto._raw_amplitudes(payload) * math.sqrt(tau)
+        received = sent * math.sqrt(tau)
         energies = np.abs(received) ** 2
         assert np.abs(energies - params.energy).max() < 1e-12
 
@@ -62,7 +68,7 @@ class TestBobVerify:
         params = ProtocolParams(1.0, 8, 16)
         rng = np.random.default_rng(3)
         for _ in range(10 ** 4):
-            c, payload = commit(0, params, rng)
+            c, payload = sealed_commit(0, params, rng)
             verdict = bob_verify(payload, (c.b, c.m), params, rng)
             assert verdict.accepted
             assert all(x == 0 for x in verdict.counts)
@@ -88,14 +94,14 @@ class TestBobVerify:
 
     def test_length_mismatch_aborts(self):
         params = ProtocolParams(1.0, 4, 3)
-        _, payload = commit(0, params, np.random.default_rng(0))
+        _, payload = sealed_commit(0, params, np.random.default_rng(0))
         with pytest.raises(proto.ProtocolAbort):
             bob_verify(payload, (0, (0, 1)), params, np.random.default_rng(1))
 
     def test_fractional_index_is_a_malformed_reveal(self):
         # the index was truncated, so m0 + 0.4 opened as m0 and was accepted
         params = ProtocolParams(1.0, 8, 1)
-        c, payload = commit(0, params, np.random.default_rng(4))
+        c, payload = sealed_commit(0, params, np.random.default_rng(4))
         with pytest.raises(proto.ProtocolAbort) as err:
             bob_verify(payload, (0, (c.m[0] + 0.4,)), params, np.random.default_rng(5))
         assert str(err.value).startswith("malformed reveal")
@@ -230,7 +236,7 @@ class TestAcceptanceProductLaw:
         n = 2 * 10 ** 4
         hits = 0
         for _ in range(n):
-            c, payload = commit(1, params, rng)
+            c, payload = sealed_commit(1, params, rng)
             revealed = cheat_open(c, 0)
             if bob_verify(payload, revealed, params, rng).accepted:
                 hits += 1
@@ -249,8 +255,7 @@ class TestDisplaceCountAgainstMatrixRoute:
             (0.8 * np.exp(0.3j), 0.5 * np.exp(-0.9j)),
         ]
         for alpha, target in cases:
-            shifted = displacement_matrix(-target, n).matrix @ coherent_vector(
-                alpha, n).amps
+            shifted = displacement_matrix(-target, n).matrix @ coherent_vector(alpha, n)
             p_matrix = abs(shifted[0]) ** 2
             p_poisson = math.exp(-abs(alpha - target) ** 2)
             assert abs(p_matrix - p_poisson) < 1e-10
@@ -258,16 +263,15 @@ class TestDisplaceCountAgainstMatrixRoute:
 
 class TestPayloadSealing:
     def test_no_public_amplitude_surface(self):
-        _, payload = commit(0, ProtocolParams(1.0, 4, 5), np.random.default_rng(0))
+        _, payload = sealed_commit(0, ProtocolParams(1.0, 4, 5), np.random.default_rng(0))
         public = [n for n in dir(payload) if not n.startswith("_")]
-        assert sorted(public) == ["count_after_displacement", "sealed"]
-        assert payload.sealed
+        assert public == ["count_after_displacement"]
         with pytest.raises(AttributeError):
             payload.amplitudes
 
     def test_measurement_only_interface(self):
         params = ProtocolParams(1.0, 4, 5)
-        c, payload = commit(0, params, np.random.default_rng(0))
+        c, payload = sealed_commit(0, params, np.random.default_rng(0))
         counts = payload.count_after_displacement(
             -proto.expected_amplitudes(c.b, c.m, params), np.random.default_rng(1))
         assert np.all(counts == 0)
@@ -335,7 +339,7 @@ class TestParams:
             ProtocolParams(np.nextafter(energy, math.inf), 8, 1)
         for M in (2, 4, 8, 20):
             params = ProtocolParams(energy, M, 2000)
-            c, payload = commit(0, params, np.random.default_rng(M))
+            c, payload = sealed_commit(0, params, np.random.default_rng(M))
             far = [(m + M // 2) % M for m in c.m]
             counts = payload.count_after_displacement(
                 -proto.expected_amplitudes(0, far, params), np.random.default_rng(0))

@@ -860,9 +860,9 @@ class TestWrongLengthReveal:
 
     def test_bob_verify_aborts(self):
         params = make_params()
-        c, payload = proto.commit(0, params, np.random.default_rng(0))
+        c, amps = proto.commit(0, params, np.random.default_rng(0))
         with pytest.raises(proto.ProtocolAbort) as err:
-            proto.bob_verify(payload, WrongLengthReveal(0).reveal(c), params,
+            proto.bob_verify(proto.QuantumPayload(amps), WrongLengthReveal(0).reveal(c), params,
                              np.random.default_rng(1))
         assert str(err.value) == self.REASON
 
@@ -884,10 +884,8 @@ class TestSealing:
                 seen["payload"] = payload
 
         tp.run_session(proto.HonestAlice(0), Probe(), make_params(), seed=0)
-        payload = seen["payload"]
-        assert payload.sealed
-        public = [n for n in dir(payload) if not n.startswith("_")]
-        assert sorted(public) == ["count_after_displacement", "sealed"]
+        public = [n for n in dir(seen["payload"]) if not n.startswith("_")]
+        assert public == ["count_after_displacement"]
 
     def test_honest_strategy_never_offered_raw_amplitudes(self):
         with pytest.raises(tp.ProtocolStateError):
@@ -921,7 +919,7 @@ class TestAdversarialBob:
 
         class DirectHelstromBob(tp.HelstromBob):
             def observe_raw_amplitudes(self, amplitudes, params, rng):
-                v = coherent_vector(complex(amplitudes[0]), self._cutoff).amps
+                v = coherent_vector(complex(amplitudes[0]), self._cutoff)
                 p_zero = float(np.real(np.vdot(v, helstrom_projector(self) @ v)))
                 self.guesses.append(0 if rng.random() < p_zero else 1)
 
@@ -978,7 +976,7 @@ class TestAdversarialBob:
         projector = helstrom_projector(tp.HelstromBob(code))
         assert abs(np.trace(projector).real - rank) < 1e-12
         for alpha in self.probe_amplitudes(code):
-            v = coherent_vector(alpha, code.cutoff).amps
+            v = coherent_vector(alpha, code.cutoff)
             p_dense = np.vdot(v, dense @ v).real
             assert abs(np.vdot(v, projector @ v).real - p_dense) <= 1e-14, alpha
 
@@ -992,7 +990,7 @@ class TestAdversarialBob:
         dense, _ = self.dense_positive_projector(code)
         bob = tp.HelstromBob(code)
         for alpha in self.probe_amplitudes(code):
-            v = coherent_vector(alpha, code.cutoff).amps
+            v = coherent_vector(alpha, code.cutoff)
             assert abs(bob._p_zero_at(alpha) - np.vdot(v, dense @ v).real) <= 1e-14, alpha
 
 
