@@ -1,7 +1,7 @@
 """References that only tests compare the package against: the dense
 operator type, the dense forms of what the package keeps as amplitude
-arrays or class sums, the closed-form and sampled acceptance laws of a fixed reveal
-offset, and a transcript reader."""
+arrays or class sums, the closed-form and sampled acceptance laws of a
+fixed reveal offset, and a transcript reader."""
 
 import cmath
 import math
